@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -217,7 +218,7 @@ template <typename Fn> double bestWallTimeS(int Rounds, Fn &&Body) {
 /// ablations (the sparse-vs-dense ratio has its own legs below).
 double timeTransientLadderS(bool Caching, int Steps) {
   thermal::ThermalNetwork Net = makeLadderNetwork(256);
-  Net.setSparseSolver(false);
+  Net.setSparseThreshold(SIZE_MAX);
   Net.setFactorCaching(Caching);
   std::vector<double> Temps(Net.numNodes(), 30.0);
   (void)Net.stepTransient(Temps, 1.0); // Prime the cache outside the clock.
@@ -272,7 +273,7 @@ double timeRackNewtonS(bool Overhaul, int Solves) {
 /// overhead_span_tracing: 1.0 = auditing is free.
 double timeTransientLadderAuditedS(int Steps) {
   thermal::ThermalNetwork Net = makeLadderNetwork(256);
-  Net.setSparseSolver(false); // Matches the un-audited dense leg above.
+  Net.setSparseThreshold(SIZE_MAX); // Matches the un-audited dense leg.
   Net.setFactorCaching(true);
   std::vector<double> Temps(Net.numNodes(), 30.0);
   (void)Net.stepTransient(Temps, 1.0); // Prime the cache outside the clock.
@@ -303,9 +304,8 @@ struct SteadyLegResult {
 SteadyLegResult runSteadyLadderLeg(bool Sparse, int Unknowns, int Solves,
                                    int Rounds) {
   thermal::ThermalNetwork Net = makeLadderNetwork(Unknowns / 2);
-  Net.setSparseSolver(Sparse);
-  if (Sparse)
-    Net.setSparseThreshold(1); // The 64-unknown rung sits below the default.
+  // Forced sparse: the 64-unknown rung sits below the default threshold.
+  Net.setSparseThreshold(Sparse ? 1 : SIZE_MAX);
   SteadyLegResult Result;
   // Prime outside the clock: pattern + symbolic analysis (sparse) or the
   // first dense factor.
@@ -331,9 +331,7 @@ SteadyLegResult runSteadyLadderLeg(bool Sparse, int Unknowns, int Solves,
 double timeLadderTransientPerStepS(bool Sparse, int Unknowns, int Steps,
                                    int Rounds) {
   thermal::ThermalNetwork Net = makeLadderNetwork(Unknowns / 2);
-  Net.setSparseSolver(Sparse);
-  if (Sparse)
-    Net.setSparseThreshold(1);
+  Net.setSparseThreshold(Sparse ? 1 : SIZE_MAX);
   std::vector<double> Temps(Net.numNodes(), 30.0);
   (void)Net.stepTransient(Temps, 1.0); // Prime the factor outside the clock.
   return bestWallTimeS(Rounds, [&] {

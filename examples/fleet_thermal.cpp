@@ -32,11 +32,11 @@ int main() {
   thermal::FleetNetwork Fleet = thermal::buildFleetNetwork(Config);
   thermal::ThermalNetwork &Net = Fleet.Net;
 
-  std::printf("fleet: %zu racks x %zu modules, %zu unknowns (sparse %s, "
+  std::printf("fleet: %zu racks x %zu modules, %zu unknowns (%s solve, "
               "threshold %zu)\n\n",
               Config.NumRacks, Config.ModulesPerRack,
               thermal::fleetUnknowns(Config),
-              Net.sparseSolverEnabled() ? "on" : "off",
+              Net.solvesSparse() ? "sparse" : "dense",
               Net.sparseThresholdUnknowns());
 
   // 2. Steady state through the sparse path.

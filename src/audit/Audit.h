@@ -127,7 +127,9 @@ struct AuditSummary {
   uint64_t NonMonotoneResiduals = 0;
   uint64_t UnconvergedSolves = 0;
   bool FactorCachingEnabled = true;
-  bool SparseSolverEnabled = true;
+  /// True when the audited thermal solves took the sparse path; false
+  /// when they solved dense or no thermal network was audited.
+  bool SparseSolverEnabled = false;
 
   /// True when every invariant stayed at or below its critical budget and
   /// every hydraulic solve converged.
@@ -184,8 +186,9 @@ public:
     Summary.FactorCachingEnabled = Enabled;
   }
 
-  /// Records the thermal sparse-solver configuration (once per run), so
-  /// reports say which linear-algebra path produced the audited residuals.
+  /// Records whether the thermal solves take the sparse path (once per
+  /// run; pass ThermalNetwork::solvesSparse()), so reports say which
+  /// linear-algebra path produced the audited residuals.
   void noteSparseSolver(bool Enabled) {
     Summary.SparseSolverEnabled = Enabled;
   }

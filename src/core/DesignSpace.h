@@ -15,7 +15,6 @@
 #ifndef RCS_CORE_DESIGNSPACE_H
 #define RCS_CORE_DESIGNSPACE_H
 
-#include "support/Quantity.h"
 #include "system/Module.h"
 
 #include <vector>
@@ -30,17 +29,6 @@ struct SinkCandidate {
   double PressureDropPa = 0.0;    ///< Across the bank at the design flow.
   double MaxJunctionTempC = 0.0;  ///< Solved on the given module.
   double Score = 0.0;             ///< Lower is better.
-
-  /// Typed mirrors of the dimensioned fields.
-  units::KelvinPerWatt resistance() const {
-    return units::KelvinPerWatt(ResistanceKPerW);
-  }
-  units::Pascal pressureDrop() const {
-    return units::Pascal(PressureDropPa);
-  }
-  units::Celsius maxJunctionTemp() const {
-    return units::Celsius(MaxJunctionTempC);
-  }
 };
 
 /// Sweep ranges for the pin-fin sink optimization.
@@ -48,45 +36,6 @@ struct SinkSweepRanges {
   std::vector<double> PinHeightsM = {0.008, 0.012, 0.016, 0.020};
   std::vector<double> PitchesM = {0.003, 0.004, 0.005};
   std::vector<double> PinDiametersM = {0.001, 0.0015, 0.002};
-
-  /// Typed mirrors: every range entry is a length.
-  SinkSweepRanges &setPinHeights(const std::vector<units::Meters> &Heights) {
-    PinHeightsM = stripUnits(Heights);
-    return *this;
-  }
-  SinkSweepRanges &setPitches(const std::vector<units::Meters> &Pitches) {
-    PitchesM = stripUnits(Pitches);
-    return *this;
-  }
-  SinkSweepRanges &
-  setPinDiameters(const std::vector<units::Meters> &Diameters) {
-    PinDiametersM = stripUnits(Diameters);
-    return *this;
-  }
-  std::vector<units::Meters> pinHeights() const {
-    return addUnits(PinHeightsM);
-  }
-  std::vector<units::Meters> pitches() const { return addUnits(PitchesM); }
-  std::vector<units::Meters> pinDiameters() const {
-    return addUnits(PinDiametersM);
-  }
-
-private:
-  static std::vector<double>
-  stripUnits(const std::vector<units::Meters> &Typed) {
-    std::vector<double> Raw;
-    Raw.reserve(Typed.size());
-    for (units::Meters M : Typed)
-      Raw.push_back(M.value());
-    return Raw;
-  }
-  static std::vector<units::Meters> addUnits(const std::vector<double> &Raw) {
-    std::vector<units::Meters> Typed;
-    Typed.reserve(Raw.size());
-    for (double M : Raw)
-      Typed.push_back(units::Meters(M));
-    return Typed;
-  }
 };
 
 /// Evaluates every sink in the sweep on \p Module (immersion cooling
@@ -101,17 +50,6 @@ sweepImmersionSinks(const rcsystem::ModuleConfig &Module,
                     const SinkSweepRanges &Ranges = SinkSweepRanges(),
                     double PressureWeightCPerPa = 2.0e-4);
 
-/// Typed mirror: the score weight converts pumping pressure into an
-/// equivalent junction-temperature penalty, so it carries K/Pa.
-inline std::vector<SinkCandidate>
-sweepImmersionSinks(const rcsystem::ModuleConfig &Module,
-                    const rcsystem::ExternalConditions &Conditions,
-                    const SinkSweepRanges &Ranges,
-                    units::KelvinPerPascal PressureWeight) {
-  return sweepImmersionSinks(Module, Conditions, Ranges,
-                             PressureWeight.value());
-}
-
 /// One evaluated pump sizing.
 struct PumpCandidate {
   double RatedFlowM3PerS = 0.0;
@@ -120,19 +58,6 @@ struct PumpCandidate {
   double MaxJunctionTempC = 0.0;
   double PumpElectricalW = 0.0;
   double Score = 0.0; ///< Lower is better.
-
-  /// Typed mirrors of the dimensioned fields.
-  units::M3PerS ratedFlow() const { return units::M3PerS(RatedFlowM3PerS); }
-  units::Pascal ratedHead() const { return units::Pascal(RatedHeadPa); }
-  units::M3PerS achievedFlow() const {
-    return units::M3PerS(AchievedFlowM3PerS);
-  }
-  units::Celsius maxJunctionTemp() const {
-    return units::Celsius(MaxJunctionTempC);
-  }
-  units::Watts pumpElectrical() const {
-    return units::Watts(PumpElectricalW);
-  }
 };
 
 /// Sweeps oil-pump sizings on \p Module and returns candidates sorted
@@ -146,27 +71,6 @@ sweepOilPumps(const rcsystem::ModuleConfig &Module,
               const std::vector<double> &RatedHeadsPa,
               double PowerWeightCPerW = 5.0e-3);
 
-/// Typed mirror: flows, heads and the power-to-temperature score weight
-/// carry their dimensions.
-inline std::vector<PumpCandidate>
-sweepOilPumps(const rcsystem::ModuleConfig &Module,
-              const rcsystem::ExternalConditions &Conditions,
-              const std::vector<units::M3PerS> &RatedFlows,
-              const std::vector<units::Pascal> &RatedHeads,
-              units::KelvinPerWatt PowerWeight =
-                  units::KelvinPerWatt(5.0e-3)) {
-  std::vector<double> FlowsM3PerS;
-  FlowsM3PerS.reserve(RatedFlows.size());
-  for (units::M3PerS Flow : RatedFlows)
-    FlowsM3PerS.push_back(Flow.value());
-  std::vector<double> HeadsPa;
-  HeadsPa.reserve(RatedHeads.size());
-  for (units::Pascal Head : RatedHeads)
-    HeadsPa.push_back(Head.value());
-  return sweepOilPumps(Module, Conditions, FlowsM3PerS, HeadsPa,
-                       PowerWeight.value());
-}
-
 /// Finds the warmest chilled-water setpoint that still keeps every FPGA
 /// junction at or below \p JunctionLimitC (energy-saving design helper:
 /// warmer water means a cheaper-running chiller). Returns the setpoint in
@@ -176,20 +80,6 @@ maxWaterSetpointForJunctionLimit(const rcsystem::ModuleConfig &Module,
                                  const rcsystem::ExternalConditions &Base,
                                  double JunctionLimitC, double MinC = 8.0,
                                  double MaxC = 45.0);
-
-/// Typed mirror: limit, search bounds and result are all absolute
-/// temperatures. Errors propagate unchanged.
-inline Expected<units::Celsius> maxWaterSetpointForJunctionLimit(
-    const rcsystem::ModuleConfig &Module,
-    const rcsystem::ExternalConditions &Base, units::Celsius JunctionLimit,
-    units::Celsius Min = units::Celsius(8.0),
-    units::Celsius Max = units::Celsius(45.0)) {
-  Expected<double> Raw = maxWaterSetpointForJunctionLimit(
-      Module, Base, JunctionLimit.value(), Min.value(), Max.value());
-  if (!Raw)
-    return Raw.status();
-  return units::Celsius(*Raw);
-}
 
 } // namespace core
 } // namespace rcs

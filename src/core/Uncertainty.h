@@ -17,7 +17,6 @@
 #ifndef RCS_CORE_UNCERTAINTY_H
 #define RCS_CORE_UNCERTAINTY_H
 
-#include "support/Quantity.h"
 #include "system/Module.h"
 
 #include <cstdint>
@@ -38,16 +37,6 @@ struct ToleranceSpec {
   double MiscPowerRel = 0.10;   ///< Board infrastructure power.
   double WaterInletAbsC = 1.0;  ///< Facility water regulation.
   double UtilizationAbs = 0.03; ///< Workload placement variation.
-
-  /// Typed mirror of the one dimensioned entry: the water-inlet spread is
-  /// a temperature width (one sigma), not an absolute setpoint.
-  units::TempDelta waterInletSpread() const {
-    return units::TempDelta(WaterInletAbsC);
-  }
-  ToleranceSpec &setWaterInletSpread(units::TempDelta Spread) {
-    WaterInletAbsC = Spread.value();
-    return *this;
-  }
 };
 
 /// Aggregated results of the tolerance sweep.
@@ -67,30 +56,6 @@ struct UncertaintyResult {
   /// Fraction of samples violating the given limits.
   double OverJunctionLimitFraction = 0.0;
   double OverCoolantLimitFraction = 0.0;
-
-  /// Typed mirrors over the envelope statistics. Means and percentiles of
-  /// absolute temperatures are Celsius points; the spread is a delta.
-  units::Celsius meanMaxJunction() const {
-    return units::Celsius(MeanMaxJunctionC);
-  }
-  units::TempDelta stdMaxJunction() const {
-    return units::TempDelta(StdMaxJunctionC);
-  }
-  units::Celsius p95MaxJunction() const {
-    return units::Celsius(P95MaxJunctionC);
-  }
-  units::Celsius worstMaxJunction() const {
-    return units::Celsius(WorstMaxJunctionC);
-  }
-  units::Celsius meanCoolantHot() const {
-    return units::Celsius(MeanCoolantHotC);
-  }
-  units::Celsius p95CoolantHot() const {
-    return units::Celsius(P95CoolantHotC);
-  }
-  units::Celsius worstCoolantHot() const {
-    return units::Celsius(WorstCoolantHotC);
-  }
 };
 
 /// Runs the tolerance Monte-Carlo on an immersion module.
@@ -105,19 +70,6 @@ analyzeModuleTolerances(const rcsystem::ModuleConfig &Nominal,
                         const ToleranceSpec &Tolerances, int NumSamples,
                         uint64_t Seed, double JunctionLimitC = 55.0,
                         double CoolantLimitC = 30.5);
-
-/// Typed mirror: the limits are absolute temperatures, so take them as
-/// Celsius points. Same computation, bit-identical result.
-inline UncertaintyResult
-analyzeModuleTolerances(const rcsystem::ModuleConfig &Nominal,
-                        const rcsystem::ExternalConditions &Conditions,
-                        const ToleranceSpec &Tolerances, int NumSamples,
-                        uint64_t Seed, units::Celsius JunctionLimit,
-                        units::Celsius CoolantLimit) {
-  return analyzeModuleTolerances(Nominal, Conditions, Tolerances, NumSamples,
-                                 Seed, JunctionLimit.value(),
-                                 CoolantLimit.value());
-}
 
 } // namespace core
 } // namespace rcs

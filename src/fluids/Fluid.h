@@ -20,7 +20,6 @@
 #define RCS_FLUIDS_FLUID_H
 
 #include "support/Interp.h"
-#include "support/Quantity.h"
 
 #include <memory>
 #include <optional>
@@ -111,44 +110,6 @@ public:
     return thermalConductivityWPerMK(TempC) /
            volumetricHeatCapacityJPerM3K(TempC);
   }
-
-  /// \name Dimension-checked property evaluators
-  /// Typed mirrors of the accessors above (see support/Quantity.h). New
-  /// code should prefer these: a swapped argument or a Kelvin passed where
-  /// Celsius is expected fails to compile. The double forms remain the
-  /// thin escape hatch for table-driven and solver-internal code.
-  /// @{
-  units::KgPerM3 density(units::Celsius T) const {
-    return units::KgPerM3(densityKgPerM3(T.value()));
-  }
-  units::JoulesPerKgKelvin specificHeat(units::Celsius T) const {
-    return units::JoulesPerKgKelvin(specificHeatJPerKgK(T.value()));
-  }
-  units::WattsPerMeterKelvin thermalConductivity(units::Celsius T) const {
-    return units::WattsPerMeterKelvin(thermalConductivityWPerMK(T.value()));
-  }
-  units::PascalSeconds dynamicViscosity(units::Celsius T) const {
-    return units::PascalSeconds(dynamicViscosityPaS(T.value()));
-  }
-  units::M2PerS kinematicViscosity(units::Celsius T) const {
-    return units::M2PerS(kinematicViscosityM2PerS(T.value()));
-  }
-  units::JoulesPerM3Kelvin volumetricHeatCapacity(units::Celsius T) const {
-    return units::JoulesPerM3Kelvin(volumetricHeatCapacityJPerM3K(T.value()));
-  }
-  units::M2PerS thermalDiffusivity(units::Celsius T) const {
-    return units::M2PerS(thermalDiffusivityM2PerS(T.value()));
-  }
-  units::Scalar prandtlNumber(units::Celsius T) const {
-    return units::Scalar(prandtl(T.value()));
-  }
-  units::Celsius minOperatingTemp() const {
-    return units::Celsius(MinTempC);
-  }
-  units::Celsius maxOperatingTemp() const {
-    return units::Celsius(MaxTempC);
-  }
-  /// @}
 
   /// Lowest safe bulk temperature (freezing / pour point margin).
   double minOperatingTempC() const { return MinTempC; }

@@ -21,8 +21,6 @@
 #ifndef RCS_FPGA_DEVICE_H
 #define RCS_FPGA_DEVICE_H
 
-#include "support/Quantity.h"
-
 #include <string>
 
 namespace rcs {
@@ -71,27 +69,6 @@ struct FpgaSpec {
   double PeakGflops = 0.0;
   /// Nominal fabric clock in MHz.
   double NominalClockMHz = 200.0;
-
-  /// \name Dimension-checked accessors
-  /// Typed mirrors of the raw fields above (see support/Quantity.h);
-  /// prefer these in new code so package geometry, resistances, powers
-  /// and temperature limits cannot be cross-assigned.
-  /// @{
-  units::Meters packageSize() const { return units::Meters(PackageSizeM); }
-  units::KelvinPerWatt thetaJc() const {
-    return units::KelvinPerWatt(ThetaJcKPerW);
-  }
-  units::Watts staticPower25() const { return units::Watts(StaticPower25W); }
-  units::Watts dynamicPowerMax() const {
-    return units::Watts(DynamicPowerMaxW);
-  }
-  units::Celsius maxJunctionTemp() const {
-    return units::Celsius(MaxJunctionTempC);
-  }
-  units::Celsius reliableJunctionTemp() const {
-    return units::Celsius(ReliableJunctionTempC);
-  }
-  /// @}
 };
 
 /// Returns the spec for \p Model (database lookup, always succeeds).

@@ -19,7 +19,6 @@
 #define RCS_FPGA_POWERMODEL_H
 
 #include "fpga/Device.h"
-#include "support/Quantity.h"
 
 namespace rcs {
 namespace fpga {
@@ -62,37 +61,6 @@ public:
   double solvePowerW(const WorkloadPoint &Load,
                      double ThermalResistanceKPerW,
                      double ReferenceTempC) const;
-
-  /// \name Dimension-checked evaluators
-  /// Typed mirrors of the accessors above (see support/Quantity.h). New
-  /// code should prefer these: swapping the resistance and reference
-  /// temperature of the fixed-point solvers, or passing a Kelvin where
-  /// Celsius is expected, fails to compile. The double forms remain the
-  /// escape hatch for solver-internal code.
-  /// @{
-  units::Watts staticPower(units::Celsius JunctionTemp) const {
-    return units::Watts(staticPowerW(JunctionTemp.value()));
-  }
-  units::Watts dynamicPower(const WorkloadPoint &Load) const {
-    return units::Watts(dynamicPowerW(Load));
-  }
-  units::Watts totalPower(const WorkloadPoint &Load,
-                          units::Celsius JunctionTemp) const {
-    return units::Watts(totalPowerW(Load, JunctionTemp.value()));
-  }
-  units::Celsius solveJunctionTemp(const WorkloadPoint &Load,
-                                   units::KelvinPerWatt ThermalResistance,
-                                   units::Celsius ReferenceTemp) const {
-    return units::Celsius(solveJunctionTempC(Load, ThermalResistance.value(),
-                                             ReferenceTemp.value()));
-  }
-  units::Watts solvePower(const WorkloadPoint &Load,
-                          units::KelvinPerWatt ThermalResistance,
-                          units::Celsius ReferenceTemp) const {
-    return units::Watts(solvePowerW(Load, ThermalResistance.value(),
-                                    ReferenceTemp.value()));
-  }
-  /// @}
 
   const FpgaSpec &spec() const { return *Spec; }
 

@@ -58,15 +58,6 @@ Expected<TrimResult> trimBalancingValves(RackHydraulics &Rack,
                                          double TempC,
                                          TrimOptions Options = TrimOptions());
 
-/// Dimension-checked mirror of trimBalancingValves.
-inline Expected<TrimResult> trimBalancingValves(RackHydraulics &Rack,
-                                                const fluids::Fluid &F,
-                                                units::Celsius T,
-                                                TrimOptions Options =
-                                                    TrimOptions()) {
-  return trimBalancingValves(Rack, F, T.value(), Options);
-}
-
 } // namespace hydraulics
 } // namespace rcs
 

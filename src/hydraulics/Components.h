@@ -19,7 +19,6 @@
 
 #include "fluids/Fluid.h"
 #include "support/Interp.h"
-#include "support/Quantity.h"
 
 #include <memory>
 #include <string>
@@ -39,14 +38,6 @@ public:
   /// Signed pressure drop in Pa at \p FlowM3PerS of \p F at \p TempC.
   virtual double pressureDropPa(double FlowM3PerS, const fluids::Fluid &F,
                                 double TempC) const = 0;
-
-  /// Dimension-checked mirror of pressureDropPa (see support/Quantity.h).
-  /// New code should prefer this form; the double overload remains the
-  /// escape hatch for solver-internal code.
-  units::Pascal pressureDrop(units::M3PerS Flow, const fluids::Fluid &F,
-                             units::Celsius T) const {
-    return units::Pascal(pressureDropPa(Flow.value(), F, T.value()));
-  }
 
   /// d(pressureDropPa)/d(flow) at \p FlowM3PerS, in Pa/(m^3/s).
   ///
@@ -70,11 +61,6 @@ public:
   /// \p RoughnessM defaults to drawn tubing (1.5 um).
   PipeSegment(double LengthM, double DiameterM, double RoughnessM = 1.5e-6);
 
-  /// Dimension-checked constructor.
-  PipeSegment(units::Meters Length, units::Meters Diameter,
-              units::Meters Roughness = units::Meters(1.5e-6))
-      : PipeSegment(Length.value(), Diameter.value(), Roughness.value()) {}
-
   double pressureDropPa(double FlowM3PerS, const fluids::Fluid &F,
                         double TempC) const override;
   double pressureDropSlopePaPerM3S(double FlowM3PerS, const fluids::Fluid &F,
@@ -83,16 +69,9 @@ public:
 
   double lengthM() const { return LengthM; }
   double diameterM() const { return DiameterM; }
-  units::Meters length() const { return units::Meters(LengthM); }
-  units::Meters diameter() const { return units::Meters(DiameterM); }
 
   /// Mean velocity at \p FlowM3PerS.
   double velocityMPerS(double FlowM3PerS) const;
-
-  /// Dimension-checked mirror of velocityMPerS.
-  units::MPerS velocity(units::M3PerS Flow) const {
-    return units::MPerS(velocityMPerS(Flow.value()));
-  }
 
 private:
   double LengthM;
@@ -106,10 +85,6 @@ private:
 class Fitting : public FlowElement {
 public:
   Fitting(double LossCoefficient, double DiameterM);
-
-  /// Dimension-checked constructor (K is dimensionless).
-  Fitting(double LossCoefficient, units::Meters Diameter)
-      : Fitting(LossCoefficient, Diameter.value()) {}
 
   double pressureDropPa(double FlowM3PerS, const fluids::Fluid &F,
                         double TempC) const override;
@@ -131,10 +106,6 @@ private:
 class BalancingValve : public FlowElement {
 public:
   BalancingValve(double OpenLossCoefficient, double DiameterM);
-
-  /// Dimension-checked constructor (K is dimensionless).
-  BalancingValve(double OpenLossCoefficient, units::Meters Diameter)
-      : BalancingValve(OpenLossCoefficient, Diameter.value()) {}
 
   /// Sets the opening fraction in [0, 1].
   void setOpening(double Fraction);
@@ -160,10 +131,6 @@ class HeatExchangerPressureSide : public FlowElement {
 public:
   /// Rated \p RatedDropPa at \p RatedFlowM3PerS (from a datasheet).
   HeatExchangerPressureSide(double RatedFlowM3PerS, double RatedDropPa);
-
-  /// Dimension-checked constructor.
-  HeatExchangerPressureSide(units::M3PerS RatedFlow, units::Pascal RatedDrop)
-      : HeatExchangerPressureSide(RatedFlow.value(), RatedDrop.value()) {}
 
   double pressureDropPa(double FlowM3PerS, const fluids::Fluid &F,
                         double TempC) const override;
@@ -202,14 +169,6 @@ public:
   /// Electrical power drawn while pumping \p FlowM3PerS, W.
   double electricalPowerW(double FlowM3PerS) const;
 
-  /// Dimension-checked mirrors of headPa / electricalPowerW.
-  units::Pascal head(units::M3PerS Flow) const {
-    return units::Pascal(headPa(Flow.value()));
-  }
-  units::Watts electricalPower(units::M3PerS Flow) const {
-    return units::Watts(electricalPowerW(Flow.value()));
-  }
-
   double pressureDropPa(double FlowM3PerS, const fluids::Fluid &F,
                         double TempC) const override;
   double pressureDropSlopePaPerM3S(double FlowM3PerS, const fluids::Fluid &F,
@@ -223,13 +182,6 @@ public:
   static Pump makeOilCirculationPump(std::string Name,
                                      double RatedFlowM3PerS,
                                      double RatedHeadPa);
-
-  /// Dimension-checked factory.
-  static Pump makeOilCirculationPump(std::string Name, units::M3PerS RatedFlow,
-                                     units::Pascal RatedHead) {
-    return makeOilCirculationPump(std::move(Name), RatedFlow.value(),
-                                  RatedHead.value());
-  }
 
 private:
   std::string Name;

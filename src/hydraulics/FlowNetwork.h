@@ -21,7 +21,6 @@
 #define RCS_HYDRAULICS_FLOWNETWORK_H
 
 #include "hydraulics/Components.h"
-#include "support/Quantity.h"
 #include "support/Status.h"
 
 #include <memory>
@@ -52,17 +51,6 @@ struct FlowSolution {
   /// the history is monotonically non-increasing — a stalled solve is
   /// diagnosable here without any trace sink attached.
   std::vector<double> ResidualHistory;
-
-  /// Dimension-checked accessors (see support/Quantity.h).
-  units::M3PerS edgeFlow(EdgeId E) const {
-    return units::M3PerS(EdgeFlowsM3PerS[E]);
-  }
-  units::Pascal junctionPressure(JunctionId J) const {
-    return units::Pascal(JunctionPressuresPa[J]);
-  }
-  units::M3PerS maxContinuityError() const {
-    return units::M3PerS(MaxContinuityErrorM3PerS);
-  }
 };
 
 /// Options controlling the hot path of FlowNetwork::solve.
@@ -130,13 +118,6 @@ public:
   double edgePressureDropPa(EdgeId E, double FlowM3PerS,
                             const fluids::Fluid &F, double TempC) const;
 
-  /// Dimension-checked mirror of edgePressureDropPa.
-  units::Pascal edgePressureDrop(EdgeId E, units::M3PerS Flow,
-                                 const fluids::Fluid &F,
-                                 units::Celsius T) const {
-    return units::Pascal(edgePressureDropPa(E, Flow.value(), F, T.value()));
-  }
-
   /// Solves for steady flows with \p F at bulk temperature \p TempC.
   ///
   /// \p FlowScaleM3PerS sets the expected magnitude of edge flows and is
@@ -151,20 +132,6 @@ public:
   Expected<FlowSolution> solve(const fluids::Fluid &F, double TempC,
                                double FlowScaleM3PerS,
                                const FlowSolveOptions &SolveOptions) const;
-
-  /// Dimension-checked mirror of solve.
-  Expected<FlowSolution> solve(const fluids::Fluid &F, units::Celsius T,
-                               units::M3PerS FlowScale =
-                                   units::M3PerS(1e-2)) const {
-    return solve(F, T.value(), FlowScale.value());
-  }
-
-  /// Dimension-checked mirror of the explicit-options overload.
-  Expected<FlowSolution> solve(const fluids::Fluid &F, units::Celsius T,
-                               units::M3PerS FlowScale,
-                               const FlowSolveOptions &SolveOptions) const {
-    return solve(F, T.value(), FlowScale.value(), SolveOptions);
-  }
 
 private:
   struct Impl;

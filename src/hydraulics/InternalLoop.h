@@ -62,38 +62,6 @@ struct InternalLoopConfig {
   /// Oil side of the plate heat exchanger.
   double HxRatedFlowM3PerS = 2.2e-3;
   double HxRatedDropPa = 3.0e4;
-
-  /// \name Dimension-checked setters
-  /// Typed mirrors for builder-style configuration (see support/Quantity.h);
-  /// the raw fields remain for aggregate initialization.
-  /// @{
-  InternalLoopConfig &setPlenumGeometry(units::Meters SegmentLength,
-                                        units::Meters SmallDiameter,
-                                        units::Meters LargeDiameter) {
-    SegmentLengthM = SegmentLength.value();
-    SmallPlenumDiameterM = SmallDiameter.value();
-    LargePlenumDiameterM = LargeDiameter.value();
-    return *this;
-  }
-  InternalLoopConfig &setBoardChannel(units::Scalar LossCoefficient,
-                                      units::Meters Diameter) {
-    BoardChannelLossK = LossCoefficient.value();
-    BoardChannelDiameterM = Diameter.value();
-    return *this;
-  }
-  InternalLoopConfig &setPumpRating(units::M3PerS RatedFlow,
-                                    units::Pascal RatedHead) {
-    PumpRatedFlowM3PerS = RatedFlow.value();
-    PumpRatedHeadPa = RatedHead.value();
-    return *this;
-  }
-  InternalLoopConfig &setHxRating(units::M3PerS RatedFlow,
-                                  units::Pascal RatedDrop) {
-    HxRatedFlowM3PerS = RatedFlow.value();
-    HxRatedDropPa = RatedDrop.value();
-    return *this;
-  }
-  /// @}
 };
 
 /// The built internal network with handles.
@@ -115,22 +83,12 @@ struct InternalFlowReport {
   std::vector<double> BoardFlowsM3PerS;
   double TotalFlowM3PerS = 0.0;
   FlowBalanceStats Balance;
-
-  /// Dimension-checked accessor.
-  units::M3PerS totalFlow() const { return units::M3PerS(TotalFlowM3PerS); }
 };
 
 /// Solves the internal loop with the given oil at \p TempC.
 Expected<InternalFlowReport> solveInternalLoop(InternalLoop &Loop,
                                                const fluids::Fluid &Oil,
                                                double TempC);
-
-/// Dimension-checked mirror of solveInternalLoop.
-inline Expected<InternalFlowReport> solveInternalLoop(InternalLoop &Loop,
-                                                      const fluids::Fluid &Oil,
-                                                      units::Celsius T) {
-  return solveInternalLoop(Loop, Oil, T.value());
-}
 
 } // namespace hydraulics
 } // namespace rcs

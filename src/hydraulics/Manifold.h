@@ -62,48 +62,6 @@ struct RackHydraulicsConfig {
 
   /// Return pipe from the return-manifold outlet back to the chiller.
   double ReturnPipeLengthM = 3.0;
-
-  /// \name Dimension-checked setters
-  /// Typed mirrors for builder-style configuration (see support/Quantity.h);
-  /// the raw fields remain for aggregate initialization.
-  /// @{
-  RackHydraulicsConfig &setManifoldGeometry(units::Meters SegmentLength,
-                                            units::Meters Diameter) {
-    ManifoldSegmentLengthM = SegmentLength.value();
-    ManifoldDiameterM = Diameter.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setLoopPiping(units::Meters Length,
-                                      units::Meters Diameter) {
-    LoopPipeLengthM = Length.value();
-    LoopPipeDiameterM = Diameter.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setHxRating(units::M3PerS RatedFlow,
-                                    units::Pascal RatedDrop) {
-    HxRatedFlowM3PerS = RatedFlow.value();
-    HxRatedDropPa = RatedDrop.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setPumpRating(units::M3PerS RatedFlow,
-                                      units::Pascal RatedHead) {
-    PumpRatedFlowM3PerS = RatedFlow.value();
-    PumpRatedHeadPa = RatedHead.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setChillerRating(units::Pascal RatedDrop) {
-    ChillerRatedDropPa = RatedDrop.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setReturnPiping(units::Meters Length) {
-    ReturnPipeLengthM = Length.value();
-    return *this;
-  }
-  RackHydraulicsConfig &setValveOpenLoss(units::Scalar LossCoefficient) {
-    ValveOpenLossCoefficient = LossCoefficient.value();
-    return *this;
-  }
-  /// @}
 };
 
 /// A built rack primary network with handles to the interesting edges.
@@ -128,11 +86,6 @@ struct FlowBalanceStats {
   double MeanFlowM3PerS = 0.0;
   /// (max-min)/mean; the paper's layout drives this toward zero.
   double ImbalanceFraction = 0.0;
-
-  /// Dimension-checked accessors.
-  units::M3PerS minFlow() const { return units::M3PerS(MinFlowM3PerS); }
-  units::M3PerS maxFlow() const { return units::M3PerS(MaxFlowM3PerS); }
-  units::M3PerS meanFlow() const { return units::M3PerS(MeanFlowM3PerS); }
 };
 
 /// Computes balance statistics over \p LoopFlows, ignoring loops whose

@@ -102,15 +102,13 @@ rcs::monitor::renderPrometheus(const MetricsSnapshot &Snapshot,
     renderSummary(Out, P + "_" + prometheusName(Name), H.P50, H.P95,
                   H.P99, H.Sum, H.Count);
 
-  // Timers lack stored quantiles; expose min/mean/max positions as the
-  // 0/0.5/1 quantiles of a summary so dashboards get a spread.
+  // Timers store no distribution, only their extremes: expose min and max
+  // as the 0 and 1 quantiles of a summary. The mean is _sum / _count; it
+  // is not a median, so no 0.5 sample is claimed.
   for (const auto &[Label, S] : Snapshot.Timers) {
     std::string Base = P + "_" + prometheusName(Label) + "_seconds";
-    double Mean =
-        S.Count ? S.TotalS / static_cast<double>(S.Count) : 0.0;
     Out += "# TYPE " + Base + " summary\n";
     Out += Base + "{quantile=\"0\"} " + promNumber(S.MinS) + "\n";
-    Out += Base + "{quantile=\"0.5\"} " + promNumber(Mean) + "\n";
     Out += Base + "{quantile=\"1\"} " + promNumber(S.MaxS) + "\n";
     Out += Base + "_sum " + promNumber(S.TotalS) + "\n";
     Out += Base + "_count " + std::to_string(S.Count) + "\n";

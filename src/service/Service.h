@@ -28,7 +28,6 @@
 
 #include "service/Protocol.h"
 #include "service/SolverCache.h"
-#include "support/Quantity.h"
 #include "support/Status.h"
 #include "support/ThreadSafety.h"
 
@@ -41,9 +40,7 @@
 namespace rcs {
 namespace service {
 
-/// Tunables of the scenario service. Plain members carry the CLI-facing
-/// magnitudes; the typed accessors are the Quantity mirrors (Celsius
-/// setpoints, Seconds durations) in-process callers should prefer.
+/// Tunables of the scenario service, in the CLI-facing magnitudes.
 struct ServeConfig {
   /// Evaluation workers per batch; <= 0 means all hardware threads.
   int NumThreads = 0;
@@ -63,35 +60,6 @@ struct ServeConfig {
   std::optional<double> WaterSetpointC;
   /// Service-wide ambient-air setpoint override, C (request wins).
   std::optional<double> AmbientSetpointC;
-
-  units::Seconds defaultTimeout() const {
-    return units::Seconds(DefaultTimeoutS);
-  }
-  void setDefaultTimeout(units::Seconds Timeout) {
-    DefaultTimeoutS = Timeout.value();
-  }
-  units::Seconds transientStep() const {
-    return units::Seconds(TransientDtS);
-  }
-  void setTransientStep(units::Seconds Step) {
-    TransientDtS = Step.value();
-  }
-  std::optional<units::Celsius> waterSetpoint() const {
-    if (!WaterSetpointC)
-      return std::nullopt;
-    return units::Celsius(*WaterSetpointC);
-  }
-  void setWaterSetpoint(units::Celsius Setpoint) {
-    WaterSetpointC = Setpoint.value();
-  }
-  std::optional<units::Celsius> ambientSetpoint() const {
-    if (!AmbientSetpointC)
-      return std::nullopt;
-    return units::Celsius(*AmbientSetpointC);
-  }
-  void setAmbientSetpoint(units::Celsius Setpoint) {
-    AmbientSetpointC = Setpoint.value();
-  }
 };
 
 /// The batching scenario evaluator. One instance per daemon; the serve

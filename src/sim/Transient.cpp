@@ -175,7 +175,7 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
 
   if (Auditor) {
     Auditor->noteFactorCaching(Net.factorCachingEnabled());
-    Auditor->noteSparseSolver(Net.sparseSolverEnabled());
+    Auditor->noteSparseSolver(Net.solvesSparse());
     Auditor->setCriticalCallback(
         [this](const std::string &, double BreachTimeS) {
           if (FlightRec)

@@ -38,9 +38,11 @@ void Histogram::record(double Sample) {
   if (Count == 0) {
     Min = Sample;
     Max = Sample;
+    MinMagnitude = std::fabs(Sample);
   } else {
     Min = std::min(Min, Sample);
     Max = std::max(Max, Sample);
+    MinMagnitude = std::min(MinMagnitude, std::fabs(Sample));
   }
   ++Count;
   Sum += Sample;
@@ -103,7 +105,7 @@ double Histogram::quantileLocked(double Q) const {
       double Lower = bucketLowerBound(B);
       double Estimate = B == 0 ? Within * Lower
                                : Lower * std::pow(10.0, Within);
-      return std::min(Estimate, MaxMagnitude);
+      return std::clamp(Estimate, MinMagnitude, MaxMagnitude);
     }
     Cumulative = Next;
   }
@@ -331,7 +333,7 @@ void Registry::resetMetrics() {
   for (auto &[Name, H] : Histograms) {
     LockGuard HLock(H.Mutex);
     H.Count = 0;
-    H.Sum = H.Min = H.Max = 0.0;
+    H.Sum = H.Min = H.Max = H.MinMagnitude = 0.0;
     std::fill(std::begin(H.Buckets), std::end(H.Buckets), 0);
   }
   for (auto &[Label, S] : Spans)

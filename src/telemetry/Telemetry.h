@@ -102,9 +102,11 @@ public:
   /// Estimated value at quantile \p Q (in [0, 1]) of the recorded
   /// magnitude distribution: the bucket containing the rank is found and
   /// the position within it log-interpolated, then clamped to the
-  /// observed magnitude range. Decade buckets make this coarse (within
-  /// a factor of ~2), which is enough to tell 1e-12 from 1e-3 residuals
-  /// or 40 C from 90 C junctions. Zero when empty.
+  /// observed magnitude range [smallest |sample|, largest |sample|], so
+  /// constant samples report their value at every quantile. Decade
+  /// buckets make this coarse (within a factor of ~2), which is enough to
+  /// tell 1e-12 from 1e-3 residuals or 40 C from 90 C junctions. Zero
+  /// when empty.
   double quantile(double Q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
@@ -123,6 +125,7 @@ private:
   double Sum RCS_GUARDED_BY(Mutex) = 0.0;
   double Min RCS_GUARDED_BY(Mutex) = 0.0;
   double Max RCS_GUARDED_BY(Mutex) = 0.0;
+  double MinMagnitude RCS_GUARDED_BY(Mutex) = 0.0; ///< Smallest |sample|.
   uint64_t Buckets[NumBuckets] RCS_GUARDED_BY(Mutex) = {};
 };
 

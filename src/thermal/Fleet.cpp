@@ -21,27 +21,28 @@ FleetNetwork rcs::thermal::buildFleetNetwork(const FleetConfig &Config) {
   Fleet.Chips.reserve(Config.NumRacks * Config.ModulesPerRack);
   Fleet.Plates.reserve(Config.NumRacks * Config.ModulesPerRack);
 
-  Fleet.Facility =
-      Fleet.Net.addBoundaryNode("facility", Config.FacilityWaterTemp);
+  Fleet.Facility = Fleet.Net.addBoundaryNode(
+      "facility", Config.FacilityWaterTemp.value());
   for (size_t R = 0; R != Config.NumRacks; ++R) {
     std::string RackName = "rack" + std::to_string(R);
     NodeId Loop =
-        Fleet.Net.addNode(RackName + ".loop", Config.LoopCapacitance);
-    Fleet.Net.addConductance(Loop, Fleet.Facility, Config.LoopToFacility);
+        Fleet.Net.addNode(RackName + ".loop", Config.LoopCapacitance.value());
+    Fleet.Net.addConductance(Loop, Fleet.Facility,
+                             Config.LoopToFacility.value());
     if (R != 0)
       Fleet.Net.addConductance(Fleet.RackLoops[R - 1], Loop,
-                               Config.RackCoupling);
+                               Config.RackCoupling.value());
     Fleet.RackLoops.push_back(Loop);
 
     for (size_t M = 0; M != Config.ModulesPerRack; ++M) {
       std::string ModuleName = RackName + ".cm" + std::to_string(M);
-      NodeId Plate =
-          Fleet.Net.addNode(ModuleName + ".plate", Config.PlateCapacitance);
-      NodeId Chip =
-          Fleet.Net.addNode(ModuleName + ".chip", Config.ChipCapacitance);
-      Fleet.Net.addConductance(Chip, Plate, Config.ChipToPlate);
-      Fleet.Net.addConductance(Plate, Loop, Config.PlateToLoop);
-      Fleet.Net.addHeatSource(Chip, Config.ModulePower);
+      NodeId Plate = Fleet.Net.addNode(ModuleName + ".plate",
+                                       Config.PlateCapacitance.value());
+      NodeId Chip = Fleet.Net.addNode(ModuleName + ".chip",
+                                      Config.ChipCapacitance.value());
+      Fleet.Net.addConductance(Chip, Plate, Config.ChipToPlate.value());
+      Fleet.Net.addConductance(Plate, Loop, Config.PlateToLoop.value());
+      Fleet.Net.addHeatSource(Chip, Config.ModulePower.value());
       Fleet.Plates.push_back(Plate);
       Fleet.Chips.push_back(Chip);
     }

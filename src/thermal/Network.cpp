@@ -111,15 +111,6 @@ void ThermalNetwork::setFactorCaching(bool Enabled) {
   }
 }
 
-void ThermalNetwork::setSparseSolver(bool Enabled) {
-  SparseEnabled = Enabled;
-  if (!Enabled) {
-    Cache.SparseSteady.reset();
-    Cache.SparseTransient.reset();
-    invalidateSparsePattern();
-  }
-}
-
 void ThermalNetwork::setSparseThreshold(size_t MinUnknowns) {
   SparseThresholdUnknowns = MinUnknowns;
 }

@@ -20,7 +20,6 @@
 #define RCS_THERMAL_NETWORK_H
 
 #include "support/Numerics.h"
-#include "support/Quantity.h"
 #include "support/SparseMatrix.h"
 #include "support/Status.h"
 
@@ -84,27 +83,24 @@ public:
   /// True when factorization caching is enabled.
   bool factorCachingEnabled() const { return CachingEnabled; }
 
-  /// Enables or disables the sparse solve path (on by default).
-  ///
-  /// With the sparse solver on, networks at or above the threshold (see
-  /// setSparseThreshold) assemble directly into CSR and solve through a
-  /// split-phase LDL^T (support/SparseMatrix.h); smaller networks — and
-  /// everything when this is off — stay on the bit-exact dense
-  /// `LuFactorization` path. The two paths agree to linear-solver
-  /// round-off, not bitwise (tests/solver_equivalence_test.cpp pins the
-  /// tolerance); disabling is the benchmark ablation leg, mirroring
-  /// setFactorCaching.
-  void setSparseSolver(bool Enabled);
-
-  /// True when the sparse solve path is enabled.
-  bool sparseSolverEnabled() const { return SparseEnabled; }
-
   /// Unknown count at which solves switch to the sparse path.
   ///
-  /// Below \p MinUnknowns the dense factor wins on constant factors; the
-  /// default (128) is where the CSR path starts paying for itself on the
-  /// ladder benchmarks (docs/PERFORMANCE.md).
+  /// Networks with at least \p MinUnknowns unknowns assemble directly into
+  /// CSR and solve through a split-phase LDL^T (support/SparseMatrix.h);
+  /// smaller ones stay on the bit-exact dense `LuFactorization` path. The
+  /// two paths agree to linear-solver round-off, not bitwise
+  /// (tests/solver_equivalence_test.cpp pins the tolerance). Below the
+  /// default (128) the dense factor wins on constant factors
+  /// (docs/PERFORMANCE.md); SIZE_MAX keeps every size dense and 1 forces
+  /// every size sparse.
   void setSparseThreshold(size_t MinUnknowns);
+
+  /// True when solves of the network as it stands take the sparse path:
+  /// factor caching is on and the unknown count reaches the threshold.
+  bool solvesSparse() const {
+    ensureSymbolic();
+    return useSparsePath();
+  }
 
   /// The sparse-path switch-over threshold in unknowns.
   size_t sparseThresholdUnknowns() const { return SparseThresholdUnknowns; }
@@ -116,40 +112,6 @@ public:
   /// holds N*N coefficients; the sparse factors report their index and
   /// value arrays. Feeds the peak-matrix-bytes metric in bench_p1_solvers.
   size_t solverMemoryBytes() const;
-
-  /// \name Dimension-checked builders
-  /// Typed mirrors of the setters above (see support/Quantity.h). A
-  /// conductance cannot be passed where a capacitance or power belongs,
-  /// and boundary temperatures are Celsius points, not bare numbers.
-  /// @{
-  NodeId addNode(std::string Name, units::JoulesPerKelvin Capacitance) {
-    return addNode(std::move(Name), Capacitance.value());
-  }
-  NodeId addBoundaryNode(std::string Name, units::Celsius Temp) {
-    return addBoundaryNode(std::move(Name), Temp.value());
-  }
-  void addConductance(NodeId A, NodeId B, units::WattsPerKelvin G) {
-    addConductance(A, B, G.value());
-  }
-  void addResistance(NodeId A, NodeId B, units::KelvinPerWatt R) {
-    addResistance(A, B, R.value());
-  }
-  void addHeatSource(NodeId Node, units::Watts Power) {
-    addHeatSource(Node, Power.value());
-  }
-  void setHeatSource(NodeId Node, units::Watts Power) {
-    setHeatSource(Node, Power.value());
-  }
-  void setBoundaryTemp(NodeId Node, units::Celsius Temp) {
-    setBoundaryTemp(Node, Temp.value());
-  }
-  void setConductance(NodeId A, NodeId B, units::WattsPerKelvin G) {
-    setConductance(A, B, G.value());
-  }
-  void setCapacitance(NodeId Node, units::JoulesPerKelvin Capacitance) {
-    setCapacitance(Node, Capacitance.value());
-  }
-  /// @}
 
   size_t numNodes() const { return Nodes.size(); }
   const std::string &nodeName(NodeId Node) const;
@@ -247,7 +209,6 @@ private:
   };
   mutable SolverCache Cache;
   bool CachingEnabled = true;
-  bool SparseEnabled = true;
   size_t SparseThresholdUnknowns = DefaultSparseThresholdUnknowns;
 
   void invalidateSymbolic() {
@@ -268,8 +229,7 @@ private:
   }
   /// True when this solve should route through the sparse path.
   bool useSparsePath() const {
-    return CachingEnabled && SparseEnabled &&
-           Cache.NumUnknowns >= SparseThresholdUnknowns;
+    return CachingEnabled && Cache.NumUnknowns >= SparseThresholdUnknowns;
   }
   /// Rebuilds the unknown indexing when stale.
   void ensureSymbolic() const;

@@ -162,11 +162,10 @@ TEST(AuditTest, SparseSolvePathClosesAtMachineEps) {
   // residuals are re-derived from the network, so they check the sparse
   // factorization end-to-end, not just against the dense path.
   thermal::ThermalNetwork Net = makeSparseLadder(256);
-  ASSERT_TRUE(Net.sparseSolverEnabled());
-  ASSERT_GE(Net.numNodes() - 1, Net.sparseThresholdUnknowns());
+  ASSERT_TRUE(Net.solvesSparse());
 
   PhysicsAuditor Auditor((DriftBudgets()));
-  Auditor.noteSparseSolver(Net.sparseSolverEnabled());
+  Auditor.noteSparseSolver(Net.solvesSparse());
   std::vector<double> State(Net.numNodes(), 30.0);
   for (int Step = 0; Step != 20; ++Step) {
     std::vector<double> Before = State;
@@ -191,7 +190,7 @@ TEST(AuditTest, SparseSolvePathBreachesATightEnergyBudget) {
   Tight.EnergyFractionWarn = units::Scalar(1e-13);
   Tight.EnergyFractionCritical = units::Scalar(1e-12);
   PhysicsAuditor Auditor(Tight);
-  Auditor.noteSparseSolver(Net.sparseSolverEnabled());
+  Auditor.noteSparseSolver(Net.solvesSparse());
 
   std::vector<double> State(Net.numNodes(), 30.0);
   // Corrupt one node by a milli-Kelvin each step: tiny against the

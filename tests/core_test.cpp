@@ -293,109 +293,3 @@ TEST(UncertaintyTest, WiderTolerancesWidenSpread) {
       makeSkatModule(), makeNominalConditions(), Loose, 150, 5);
   EXPECT_GT(LooseResult.StdMaxJunctionC, TightResult.StdMaxJunctionC);
 }
-
-//===----------------------------------------------------------------------===//
-// Typed Quantity mirrors (design space + tolerance analysis)
-//===----------------------------------------------------------------------===//
-
-using rcs::units::Celsius;
-using rcs::units::KelvinPerPascal;
-using rcs::units::KelvinPerWatt;
-using rcs::units::M3PerS;
-using rcs::units::Meters;
-using rcs::units::Pascal;
-
-TEST(DesignSpaceTest, TypedSinkSweepMatchesRaw) {
-  SinkSweepRanges Raw;
-  Raw.PinHeightsM = {0.008, 0.012};
-  Raw.PitchesM = {0.004};
-  Raw.PinDiametersM = {0.0015};
-
-  SinkSweepRanges Typed;
-  Typed.setPinHeights({Meters(0.008), Meters(0.012)})
-      .setPitches({Meters(0.004)})
-      .setPinDiameters({Meters(0.0015)});
-  EXPECT_EQ(Typed.PinHeightsM, Raw.PinHeightsM);
-  EXPECT_EQ(Typed.pinHeights().size(), Raw.PinHeightsM.size());
-  EXPECT_EQ(Typed.pinHeights()[1], Meters(0.012));
-  EXPECT_EQ(Typed.pitches()[0], Meters(0.004));
-  EXPECT_EQ(Typed.pinDiameters()[0], Meters(0.0015));
-
-  auto RawSweep = sweepImmersionSinks(makeSkatModule(),
-                                      makeNominalConditions(), Raw, 2.0e-4);
-  auto TypedSweep =
-      sweepImmersionSinks(makeSkatModule(), makeNominalConditions(), Typed,
-                          KelvinPerPascal(2.0e-4));
-  ASSERT_EQ(TypedSweep.size(), RawSweep.size());
-  for (size_t I = 0; I != RawSweep.size(); ++I) {
-    EXPECT_EQ(TypedSweep[I].Score, RawSweep[I].Score);
-    EXPECT_EQ(TypedSweep[I].resistance(),
-              KelvinPerWatt(RawSweep[I].ResistanceKPerW));
-    EXPECT_EQ(TypedSweep[I].pressureDrop(),
-              Pascal(RawSweep[I].PressureDropPa));
-    EXPECT_EQ(TypedSweep[I].maxJunctionTemp(),
-              Celsius(RawSweep[I].MaxJunctionTempC));
-  }
-}
-
-TEST(DesignSpaceTest, TypedPumpSweepMatchesRaw) {
-  auto RawSweep = sweepOilPumps(makeSkatModule(), makeNominalConditions(),
-                                {1.0e-3, 4.0e-3}, {6.0e4}, 5.0e-3);
-  auto TypedSweep =
-      sweepOilPumps(makeSkatModule(), makeNominalConditions(),
-                    {M3PerS(1.0e-3), M3PerS(4.0e-3)}, {Pascal(6.0e4)},
-                    KelvinPerWatt(5.0e-3));
-  ASSERT_EQ(TypedSweep.size(), RawSweep.size());
-  for (size_t I = 0; I != RawSweep.size(); ++I) {
-    EXPECT_EQ(TypedSweep[I].Score, RawSweep[I].Score);
-    EXPECT_EQ(TypedSweep[I].ratedFlow(),
-              M3PerS(RawSweep[I].RatedFlowM3PerS));
-    EXPECT_EQ(TypedSweep[I].ratedHead(), Pascal(RawSweep[I].RatedHeadPa));
-    EXPECT_EQ(TypedSweep[I].achievedFlow(),
-              M3PerS(RawSweep[I].AchievedFlowM3PerS));
-    EXPECT_EQ(TypedSweep[I].maxJunctionTemp(),
-              Celsius(RawSweep[I].MaxJunctionTempC));
-    EXPECT_EQ(TypedSweep[I].pumpElectrical().value(),
-              RawSweep[I].PumpElectricalW);
-  }
-}
-
-TEST(DesignSpaceTest, TypedWaterSetpointMatchesRaw) {
-  auto Raw = maxWaterSetpointForJunctionLimit(
-      makeSkatModule(), makeNominalConditions(), /*JunctionLimitC=*/55.0);
-  auto Typed = maxWaterSetpointForJunctionLimit(
-      makeSkatModule(), makeNominalConditions(), Celsius(55.0));
-  ASSERT_TRUE(Raw.hasValue()) << Raw.message();
-  ASSERT_TRUE(Typed.hasValue()) << Typed.message();
-  EXPECT_EQ(*Typed, Celsius(*Raw));
-
-  // Errors propagate through the typed mirror unchanged.
-  auto Impossible = maxWaterSetpointForJunctionLimit(
-      makeSkatModule(), makeNominalConditions(), Celsius(20.0));
-  EXPECT_FALSE(Impossible.hasValue());
-  EXPECT_FALSE(Impossible.message().empty());
-}
-
-TEST(UncertaintyTest, TypedLimitsMatchRaw) {
-  ToleranceSpec Tolerances;
-  Tolerances.setWaterInletSpread(rcs::units::TempDelta(1.5));
-  EXPECT_EQ(Tolerances.WaterInletAbsC, 1.5);
-  EXPECT_EQ(Tolerances.waterInletSpread(), rcs::units::TempDelta(1.5));
-
-  auto Raw = analyzeModuleTolerances(makeSkatModule(),
-                                     makeNominalConditions(), Tolerances,
-                                     50, 7, 55.0, 30.5);
-  auto Typed = analyzeModuleTolerances(
-      makeSkatModule(), makeNominalConditions(), Tolerances, 50, 7,
-      Celsius(55.0), Celsius(30.5));
-  EXPECT_EQ(Typed.NumSamples, Raw.NumSamples);
-  EXPECT_EQ(Typed.meanMaxJunction(), Celsius(Raw.MeanMaxJunctionC));
-  EXPECT_EQ(Typed.stdMaxJunction().value(), Raw.StdMaxJunctionC);
-  EXPECT_EQ(Typed.p95MaxJunction(), Celsius(Raw.P95MaxJunctionC));
-  EXPECT_EQ(Typed.worstMaxJunction(), Celsius(Raw.WorstMaxJunctionC));
-  EXPECT_EQ(Typed.meanCoolantHot(), Celsius(Raw.MeanCoolantHotC));
-  EXPECT_EQ(Typed.p95CoolantHot(), Celsius(Raw.P95CoolantHotC));
-  EXPECT_EQ(Typed.worstCoolantHot(), Celsius(Raw.WorstCoolantHotC));
-  EXPECT_EQ(Typed.OverJunctionLimitFraction, Raw.OverJunctionLimitFraction);
-  EXPECT_EQ(Typed.OverCoolantLimitFraction, Raw.OverCoolantLimitFraction);
-}

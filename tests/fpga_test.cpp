@@ -158,35 +158,6 @@ TEST(PowerModelTest, IdleFabricDrawsLittle) {
   EXPECT_LT(P, 20.0);
 }
 
-TEST(PowerModelTest, TypedOverloadsMatchRawDoubles) {
-  FpgaPowerModel Model(getFpgaSpec(FpgaModel::XCKU095));
-  WorkloadPoint Load{0.90, 1.0};
-  EXPECT_EQ(Model.staticPower(units::Celsius(50.0)).value(),
-            Model.staticPowerW(50.0));
-  EXPECT_EQ(Model.dynamicPower(Load).value(), Model.dynamicPowerW(Load));
-  EXPECT_EQ(Model.totalPower(Load, units::Celsius(45.0)).value(),
-            Model.totalPowerW(Load, 45.0));
-  EXPECT_EQ(Model
-                .solveJunctionTemp(Load, units::KelvinPerWatt(0.18),
-                                   units::Celsius(28.0))
-                .value(),
-            Model.solveJunctionTempC(Load, 0.18, 28.0));
-  EXPECT_EQ(
-      Model.solvePower(Load, units::KelvinPerWatt(0.18), units::Celsius(28.0))
-          .value(),
-      Model.solvePowerW(Load, 0.18, 28.0));
-}
-
-TEST(DeviceTest, TypedSpecAccessorsMatchRawFields) {
-  const FpgaSpec &Spec = getFpgaSpec(FpgaModel::XCKU095);
-  EXPECT_EQ(Spec.packageSize().value(), Spec.PackageSizeM);
-  EXPECT_EQ(Spec.thetaJc().value(), Spec.ThetaJcKPerW);
-  EXPECT_EQ(Spec.staticPower25().value(), Spec.StaticPower25W);
-  EXPECT_EQ(Spec.dynamicPowerMax().value(), Spec.DynamicPowerMaxW);
-  EXPECT_EQ(Spec.maxJunctionTemp().value(), Spec.MaxJunctionTempC);
-  EXPECT_EQ(Spec.reliableJunctionTemp().value(), Spec.ReliableJunctionTempC);
-}
-
 //===----------------------------------------------------------------------===//
 // Reliability (Arrhenius)
 //===----------------------------------------------------------------------===//

@@ -500,83 +500,3 @@ TEST(BalancingTest, TrimmedValvesWastePumpHead) {
   double ReverseMean = computeFlowBalance(ReverseFlows).MeanFlowM3PerS;
   EXPECT_GT(ReverseMean, Trim->MeanFlowAfterM3PerS);
 }
-
-//===----------------------------------------------------------------------===//
-// Dimension-checked overloads (must agree exactly with the raw forms)
-//===----------------------------------------------------------------------===//
-
-TEST(TypedOverloadTest, ElementMirrorsMatchRawDoubles) {
-  auto Oil = fluids::makeWhiteMineralOil();
-  PipeSegment Pipe(2.0, 0.02);
-  EXPECT_DOUBLE_EQ(
-      Pipe.pressureDrop(units::M3PerS(3e-4), *Oil, units::Celsius(40.0))
-          .value(),
-      Pipe.pressureDropPa(3e-4, *Oil, 40.0));
-
-  HeatExchangerPressureSide Typed(units::M3PerS(8e-4), units::Pascal(3e4));
-  HeatExchangerPressureSide Raw(8e-4, 3e4);
-  EXPECT_DOUBLE_EQ(Typed.pressureDropPa(5e-4, *Oil, 40.0),
-                   Raw.pressureDropPa(5e-4, *Oil, 40.0));
-}
-
-TEST(TypedOverloadTest, PumpFactoryAndAccessorsMatchRawDoubles) {
-  Pump Typed = Pump::makeOilCirculationPump("typed", units::M3PerS(8e-4),
-                                            units::Pascal(6e4));
-  Pump Raw = Pump::makeOilCirculationPump("raw", 8e-4, 6e4);
-  EXPECT_DOUBLE_EQ(Typed.head(units::M3PerS(3e-4)).value(),
-                   Raw.headPa(3e-4));
-  EXPECT_DOUBLE_EQ(Typed.electricalPower(units::M3PerS(3e-4)).value(),
-                   Raw.electricalPowerW(3e-4));
-}
-
-TEST(TypedOverloadTest, RackConfigSettersMatchRawFields) {
-  RackHydraulicsConfig Typed;
-  Typed.setManifoldGeometry(units::Meters(0.1), units::Meters(0.05))
-      .setLoopPiping(units::Meters(4.0), units::Meters(0.04))
-      .setHxRating(units::M3PerS(9e-4), units::Pascal(3.5e4))
-      .setPumpRating(units::M3PerS(6e-3), units::Pascal(1.3e5))
-      .setChillerRating(units::Pascal(2.8e4))
-      .setReturnPiping(units::Meters(2.5))
-      .setValveOpenLoss(units::Scalar(3.0));
-  EXPECT_DOUBLE_EQ(Typed.ManifoldSegmentLengthM, 0.1);
-  EXPECT_DOUBLE_EQ(Typed.ManifoldDiameterM, 0.05);
-  EXPECT_DOUBLE_EQ(Typed.LoopPipeLengthM, 4.0);
-  EXPECT_DOUBLE_EQ(Typed.LoopPipeDiameterM, 0.04);
-  EXPECT_DOUBLE_EQ(Typed.HxRatedFlowM3PerS, 9e-4);
-  EXPECT_DOUBLE_EQ(Typed.HxRatedDropPa, 3.5e4);
-  EXPECT_DOUBLE_EQ(Typed.PumpRatedFlowM3PerS, 6e-3);
-  EXPECT_DOUBLE_EQ(Typed.PumpRatedHeadPa, 1.3e5);
-  EXPECT_DOUBLE_EQ(Typed.ChillerRatedDropPa, 2.8e4);
-  EXPECT_DOUBLE_EQ(Typed.ReturnPipeLengthM, 2.5);
-  EXPECT_DOUBLE_EQ(Typed.ValveOpenLossCoefficient, 3.0);
-}
-
-TEST(TypedOverloadTest, OptionsSolveMirrorMatchesRawDoubles) {
-  RackHydraulicsConfig Config;
-  RackHydraulics RawRack = buildRackPrimaryLoop(Config);
-  RackHydraulics TypedRack = buildRackPrimaryLoop(Config);
-  auto Water = fluids::makeWater();
-  FlowSolveOptions Options;
-  auto Raw = RawRack.Network.solve(*Water, 18.0, 1e-3, Options);
-  auto Typed = TypedRack.Network.solve(*Water, units::Celsius(18.0),
-                                       units::M3PerS(1e-3), Options);
-  ASSERT_TRUE(static_cast<bool>(Raw));
-  ASSERT_TRUE(static_cast<bool>(Typed));
-  ASSERT_EQ(Raw->EdgeFlowsM3PerS.size(), Typed->EdgeFlowsM3PerS.size());
-  for (size_t E = 0; E != Raw->EdgeFlowsM3PerS.size(); ++E)
-    EXPECT_DOUBLE_EQ(Raw->EdgeFlowsM3PerS[E], Typed->EdgeFlowsM3PerS[E]);
-}
-
-TEST(TypedOverloadTest, TrimMirrorMatchesRawDoubles) {
-  RackHydraulicsConfig Config;
-  Config.Layout = ManifoldLayout::DirectReturn;
-  RackHydraulics RawRack = buildRackPrimaryLoop(Config);
-  RackHydraulics TypedRack = buildRackPrimaryLoop(Config);
-  auto Water = fluids::makeWater();
-  auto Raw = trimBalancingValves(RawRack, *Water, 18.0);
-  auto Typed = trimBalancingValves(TypedRack, *Water, units::Celsius(18.0));
-  ASSERT_TRUE(static_cast<bool>(Raw));
-  ASSERT_TRUE(static_cast<bool>(Typed));
-  EXPECT_DOUBLE_EQ(Raw->FinalImbalanceFraction, Typed->FinalImbalanceFraction);
-  EXPECT_EQ(Raw->Iterations, Typed->Iterations);
-}

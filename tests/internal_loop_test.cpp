@@ -105,31 +105,3 @@ TEST(InternalLoopTest, BoardCountScalesNetwork) {
   ASSERT_EQ(Report.BoardFlowsM3PerS.size(), 16u);
   EXPECT_LT(Report.Balance.ImbalanceFraction, 0.12);
 }
-
-TEST(InternalLoopTest, TypedMirrorsMatchRawDoubles) {
-  InternalLoopConfig Typed;
-  Typed.setPlenumGeometry(units::Meters(0.04), units::Meters(0.022),
-                          units::Meters(0.048))
-      .setBoardChannel(units::Scalar(28.0), units::Meters(0.015))
-      .setPumpRating(units::M3PerS(2.4e-3), units::Pascal(6.5e4))
-      .setHxRating(units::M3PerS(2.4e-3), units::Pascal(3.2e4));
-  EXPECT_DOUBLE_EQ(Typed.SegmentLengthM, 0.04);
-  EXPECT_DOUBLE_EQ(Typed.SmallPlenumDiameterM, 0.022);
-  EXPECT_DOUBLE_EQ(Typed.LargePlenumDiameterM, 0.048);
-  EXPECT_DOUBLE_EQ(Typed.BoardChannelLossK, 28.0);
-  EXPECT_DOUBLE_EQ(Typed.BoardChannelDiameterM, 0.015);
-  EXPECT_DOUBLE_EQ(Typed.PumpRatedFlowM3PerS, 2.4e-3);
-  EXPECT_DOUBLE_EQ(Typed.PumpRatedHeadPa, 6.5e4);
-  EXPECT_DOUBLE_EQ(Typed.HxRatedFlowM3PerS, 2.4e-3);
-  EXPECT_DOUBLE_EQ(Typed.HxRatedDropPa, 3.2e4);
-
-  InternalLoop RawLoop = buildInternalLoop(Typed);
-  InternalLoop TypedLoop = buildInternalLoop(Typed);
-  auto Oil = fluids::makeEngineeredDielectric();
-  auto Raw = solveInternalLoop(RawLoop, *Oil, 29.0);
-  auto Celsius = solveInternalLoop(TypedLoop, *Oil, units::Celsius(29.0));
-  ASSERT_TRUE(Raw.hasValue());
-  ASSERT_TRUE(Celsius.hasValue());
-  EXPECT_DOUBLE_EQ(Raw->TotalFlowM3PerS, Celsius->TotalFlowM3PerS);
-  EXPECT_DOUBLE_EQ(Celsius->totalFlow().value(), Celsius->TotalFlowM3PerS);
-}

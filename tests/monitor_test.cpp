@@ -402,6 +402,30 @@ TEST(ExpositionTest, RenderPrometheusCoversAllMetricKinds) {
             std::string::npos);
 }
 
+TEST(ExpositionTest, TimersExposeExtremesButNoMedian) {
+  // Timers keep count, total, min and max only. Their mean (here 0.25 s)
+  // is not a median, so no quantile="0.5" sample may carry it.
+  telemetry::MetricsSnapshot Snapshot;
+  telemetry::SpanStats Step;
+  Step.Count = 4;
+  Step.TotalS = 1.0;
+  Step.MinS = 0.125;
+  Step.MaxS = 0.5;
+  Snapshot.Timers.push_back({"test.step", Step});
+  std::string Text = renderPrometheus(Snapshot, "skatsim");
+  EXPECT_NE(Text.find("# TYPE skatsim_test_step_seconds summary\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("skatsim_test_step_seconds{quantile=\"0\"} 0.125\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("skatsim_test_step_seconds{quantile=\"1\"} 0.5\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("skatsim_test_step_seconds_sum 1\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("skatsim_test_step_seconds_count 4\n"),
+            std::string::npos);
+  EXPECT_EQ(Text.find("quantile=\"0.5\""), std::string::npos) << Text;
+}
+
 TEST(ExpositionTest, SnapshotLineCarriesQuantiles) {
   telemetry::Registry Reg;
   telemetry::Histogram &H = Reg.histogram("test.latency");

@@ -5,18 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // Runtime and compile-time coverage for support/Quantity.h: dimension
-// algebra, affine temperature semantics, the typed overloads on Fluid and
-// ThermalNetwork, and SFINAE proofs that ill-dimensioned expressions do
-// not participate in overload resolution. The companion negative-compile
-// targets (tests/quantity_misuse.cpp driven by CTest WILL_FAIL builds)
-// prove the same misuses are hard errors in ordinary code.
+// algebra, affine temperature semantics, and SFINAE proofs that
+// ill-dimensioned expressions do not participate in overload resolution.
+// The companion negative-compile targets (tests/quantity_misuse.cpp driven
+// by CTest WILL_FAIL builds) prove the same misuses are hard errors in
+// ordinary code.
 //
 //===----------------------------------------------------------------------===//
 
-#include "fluids/Fluid.h"
 #include "support/Quantity.h"
 #include "support/Units.h"
-#include "thermal/Network.h"
 
 #include <gtest/gtest.h>
 
@@ -123,65 +121,6 @@ TEST(QuantityTest, Literals) {
 TEST(QuantityTest, FlowHelpers) {
   M3PerS Flow = flowFromLitersPerMinute(60.0);
   EXPECT_DOUBLE_EQ(Flow.value(), 0.001);
-}
-
-//===----------------------------------------------------------------------===//
-// Typed API migration: the overloads agree exactly with the raw-double
-// interfaces they wrap.
-//===----------------------------------------------------------------------===//
-
-TEST(QuantityTest, TypedFluidAccessorsMatchRawDoubles) {
-  auto Oil = fluids::makeMineralOilMd45();
-  Celsius T(40.0);
-  EXPECT_DOUBLE_EQ(Oil->density(T).value(), Oil->densityKgPerM3(40.0));
-  EXPECT_DOUBLE_EQ(Oil->specificHeat(T).value(),
-                   Oil->specificHeatJPerKgK(40.0));
-  EXPECT_DOUBLE_EQ(Oil->thermalConductivity(T).value(),
-                   Oil->thermalConductivityWPerMK(40.0));
-  EXPECT_DOUBLE_EQ(Oil->dynamicViscosity(T).value(),
-                   Oil->dynamicViscosityPaS(40.0));
-  EXPECT_DOUBLE_EQ(Oil->kinematicViscosity(T).value(),
-                   Oil->kinematicViscosityM2PerS(40.0));
-  EXPECT_DOUBLE_EQ(Oil->volumetricHeatCapacity(T).value(),
-                   Oil->volumetricHeatCapacityJPerM3K(40.0));
-  EXPECT_DOUBLE_EQ(Oil->thermalDiffusivity(T).value(),
-                   Oil->thermalDiffusivityM2PerS(40.0));
-  EXPECT_DOUBLE_EQ(Oil->prandtlNumber(T).value(), Oil->prandtl(40.0));
-  EXPECT_DOUBLE_EQ(Oil->minOperatingTemp().value(),
-                   Oil->minOperatingTempC());
-  EXPECT_DOUBLE_EQ(Oil->maxOperatingTemp().value(),
-                   Oil->maxOperatingTempC());
-
-  // Derived identities hold in the typed algebra too.
-  M2PerS Nu = Oil->dynamicViscosity(T) / Oil->density(T);
-  EXPECT_DOUBLE_EQ(Nu.value(), Oil->kinematicViscosityM2PerS(40.0));
-}
-
-TEST(QuantityTest, TypedThermalNetworkBuilders) {
-  // Build the same two-node network once with raw doubles, once typed.
-  auto Build = [](bool Typed) {
-    thermal::ThermalNetwork Net;
-    if (Typed) {
-      thermal::NodeId Chip =
-          Net.addNode("chip", JoulesPerKelvin(500.0));
-      thermal::NodeId Ambient =
-          Net.addBoundaryNode("ambient", Celsius(25.0));
-      Net.addConductance(Chip, Ambient, WattsPerKelvin(2.0));
-      Net.setHeatSource(Chip, Watts(40.0));
-    } else {
-      thermal::NodeId Chip = Net.addNode("chip", 500.0);
-      thermal::NodeId Ambient = Net.addBoundaryNode("ambient", 25.0);
-      Net.addConductance(Chip, Ambient, 2.0);
-      Net.setHeatSource(Chip, 40.0);
-    }
-    auto Solved = Net.solveSteadyState();
-    EXPECT_TRUE(Solved.hasValue());
-    return (*Solved)[0];
-  };
-  double TypedTempC = Build(true);
-  double RawTempC = Build(false);
-  EXPECT_DOUBLE_EQ(TypedTempC, RawTempC);
-  EXPECT_DOUBLE_EQ(TypedTempC, 45.0); // 25 + 40/2
 }
 
 TEST(QuantityTest, ZeroOverheadLayout) {

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Tests for the `skatsim serve` scenario service: strict protocol
-/// parsing, ServeConfig Quantity mirrors, the keyed solver-cache
-/// registry (hit/miss/contention/eviction/invalidation), bit-identical
-/// results warm vs cold vs bypass and against the direct one-shot API,
+/// parsing, the keyed solver-cache registry (hit/miss/contention/
+/// eviction/invalidation), bit-identical results warm vs cold vs bypass
+/// and against the direct one-shot API,
 /// backpressure and timeout error paths, and a concurrent hammer that
 /// the TSan CI leg runs to certify the lock discipline.
 ///
@@ -126,23 +126,6 @@ TEST(ServiceProtocolTest, ExactNumberRoundTripsBits) {
   double Value = 45.638267762836989;
   std::string Rendered = renderExactNumber(Value);
   EXPECT_EQ(std::stod(Rendered), Value);
-}
-
-TEST(ServiceConfigTest, QuantityMirrorsRoundTrip) {
-  ServeConfig Config;
-  Config.setDefaultTimeout(units::Seconds(12.5));
-  EXPECT_EQ(Config.DefaultTimeoutS, 12.5);
-  EXPECT_EQ(Config.defaultTimeout().value(), 12.5);
-  Config.setTransientStep(units::Seconds(0.5));
-  EXPECT_EQ(Config.TransientDtS, 0.5);
-  EXPECT_EQ(Config.transientStep().value(), 0.5);
-  EXPECT_FALSE(Config.waterSetpoint().has_value());
-  Config.setWaterSetpoint(units::Celsius(16.0));
-  ASSERT_TRUE(Config.waterSetpoint().has_value());
-  EXPECT_EQ(Config.waterSetpoint()->value(), 16.0);
-  Config.setAmbientSetpoint(units::Celsius(30.0));
-  ASSERT_TRUE(Config.ambientSetpoint().has_value());
-  EXPECT_EQ(Config.AmbientSetpointC.value_or(0.0), 30.0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -267,25 +267,17 @@ TEST(ThermalEquivalenceTest, SingularNetworkStillReportsTheSeedError) {
 
 // The sparse path is tolerance-equivalent to the dense path, not bitwise:
 // the fill-reducing permutation changes the elimination order. The
-// tolerances mirror the hydraulic analytic-vs-FD pattern below.
-
-namespace {
-
-/// Forces every solve of \p Net through the sparse path.
-void forceSparse(ThermalNetwork &Net) {
-  Net.setSparseSolver(true);
-  Net.setSparseThreshold(1);
-}
-
-} // namespace
+// tolerances mirror the hydraulic analytic-vs-FD pattern below. A
+// threshold of 1 forces every solve through the sparse path; SIZE_MAX
+// holds every size dense.
 
 TEST(SparseEquivalenceTest, SteadyStateMatchesDenseAcrossLadderSizes) {
   for (int N : {8, 32, 64, 128, 256}) {
     ThermalNetwork Sparse, Dense;
     buildLadder(Sparse, N);
     buildLadder(Dense, N);
-    forceSparse(Sparse);
-    Dense.setSparseSolver(false);
+    Sparse.setSparseThreshold(1);
+    Dense.setSparseThreshold(SIZE_MAX);
 
     Expected<std::vector<double>> A = Sparse.solveSteadyState();
     Expected<std::vector<double>> B = Dense.solveSteadyState();
@@ -304,8 +296,8 @@ TEST(SparseEquivalenceTest, TransientTrajectoriesMatchThroughEveryMutatorClass) 
   ThermalNetwork Sparse, Dense;
   LadderHandles HS = buildLadder(Sparse, 48);
   LadderHandles HD = buildLadder(Dense, 48);
-  forceSparse(Sparse);
-  Dense.setSparseSolver(false);
+  Sparse.setSparseThreshold(1);
+  Dense.setSparseThreshold(SIZE_MAX);
 
   std::vector<double> StateA(Sparse.numNodes(), 22.0);
   std::vector<double> StateB = StateA;
@@ -345,7 +337,7 @@ TEST(SparseEquivalenceTest, TransientTrajectoriesMatchThroughEveryMutatorClass) 
 TEST(SparseEquivalenceTest, RhsOnlyMutationsReuseTheNumericFactor) {
   ThermalNetwork Net;
   LadderHandles H = buildLadder(Net, 160);
-  forceSparse(Net);
+  Net.setSparseThreshold(1);
 
   // Prime both factors, then mutate only the right-hand side: the
   // telemetry factorization counter must not move (the acceptance
@@ -374,7 +366,7 @@ TEST(SparseEquivalenceTest, RhsOnlyMutationsReuseTheNumericFactor) {
 TEST(SparseEquivalenceTest, ConductanceEditRefactorsNumericOnly) {
   ThermalNetwork Net;
   LadderHandles H = buildLadder(Net, 160);
-  forceSparse(Net);
+  Net.setSparseThreshold(1);
   ASSERT_TRUE(Net.solveSteadyState());
 
   telemetry::Counter &Symbolic =
@@ -402,8 +394,7 @@ TEST(SparseEquivalenceTest, SingularNetworkReportsTheSeedError) {
   // error message as the dense paths.
   for (bool UseSparse : {true, false}) {
     ThermalNetwork Net;
-    Net.setSparseSolver(UseSparse);
-    Net.setSparseThreshold(1);
+    Net.setSparseThreshold(UseSparse ? 1 : SIZE_MAX);
     Net.addBoundaryNode("sink", 20.0);
     Net.addNode("orphan", 10.0);
     Net.addNode("connected", 10.0);
@@ -417,13 +408,12 @@ TEST(SparseEquivalenceTest, SingularNetworkReportsTheSeedError) {
 }
 
 TEST(SparseEquivalenceTest, BelowThresholdStaysOnTheBitExactDensePath) {
-  // With the default threshold, a small network solves dense whether the
-  // sparse solver is enabled or not — bit-identical results.
+  // With the default threshold, a small network solves dense:
+  // bit-identical to a network held dense at every size.
   ThermalNetwork WithSparse, WithoutSparse;
   buildLadder(WithSparse, 16);
   buildLadder(WithoutSparse, 16);
-  ASSERT_TRUE(WithSparse.sparseSolverEnabled());
-  WithoutSparse.setSparseSolver(false);
+  WithoutSparse.setSparseThreshold(SIZE_MAX);
   EXPECT_EQ(WithSparse.sparseThresholdUnknowns(),
             ThermalNetwork::DefaultSparseThresholdUnknowns);
 
@@ -435,12 +425,38 @@ TEST(SparseEquivalenceTest, BelowThresholdStaysOnTheBitExactDensePath) {
     EXPECT_EQ((*A)[I], (*B)[I]);
 }
 
+TEST(SparseEquivalenceTest, SolvesSparseNamesThePathSolvesTake) {
+  // The audit report's sparse_solver field records solvesSparse(), so it
+  // must agree with the path each solve actually takes.
+  telemetry::Counter &SparseSolves =
+      telemetry::Registry::global().counter("thermal.network.sparse_solves");
+  ThermalNetwork Net;
+  buildLadder(Net, 16);
+  auto SolveCountsSparse = [&] {
+    uint64_t Before = SparseSolves.value();
+    EXPECT_TRUE(Net.solveSteadyState());
+    return SparseSolves.value() != Before;
+  };
+  EXPECT_FALSE(Net.solvesSparse()); // 16 unknowns, below the default.
+  EXPECT_FALSE(SolveCountsSparse());
+  Net.setSparseThreshold(16);
+  EXPECT_TRUE(Net.solvesSparse());
+  EXPECT_TRUE(SolveCountsSparse());
+  Net.setSparseThreshold(17);
+  EXPECT_FALSE(Net.solvesSparse());
+  EXPECT_FALSE(SolveCountsSparse());
+  Net.setSparseThreshold(1);
+  Net.setFactorCaching(false); // The uncached seed path is always dense.
+  EXPECT_FALSE(Net.solvesSparse());
+  EXPECT_FALSE(SolveCountsSparse());
+}
+
 TEST(SparseEquivalenceTest, SparseFactorsUseLessMemoryThanDense) {
   ThermalNetwork Sparse, Dense;
   buildLadder(Sparse, 256);
   buildLadder(Dense, 256);
-  forceSparse(Sparse);
-  Dense.setSparseSolver(false);
+  Sparse.setSparseThreshold(1);
+  Dense.setSparseThreshold(SIZE_MAX);
   ASSERT_TRUE(Sparse.solveSteadyState());
   ASSERT_TRUE(Dense.solveSteadyState());
   EXPECT_GT(Sparse.solverMemoryBytes(), 0u);

@@ -134,6 +134,32 @@ TEST(HistogramTest, QuantileOfUniformBucketIsInterpolated) {
   EXPECT_DOUBLE_EQ(H.quantile(1.0), 5.0);
 }
 
+TEST(HistogramTest, QuantilesStayWithinTheObservedRange) {
+  Registry Reg;
+  // 72 samples of one value, as the fault sweep's max junction records:
+  // interpolating inside the [10, 100) decade must not report 31.6.
+  Histogram &Constant = Reg.histogram("test.histogram.constant");
+  for (int I = 0; I != 72; ++I)
+    Constant.record(46.5);
+  EXPECT_DOUBLE_EQ(Constant.p50(), 46.5);
+  EXPECT_DOUBLE_EQ(Constant.p95(), 46.5);
+  EXPECT_DOUBLE_EQ(Constant.p99(), 46.5);
+
+  // A spread inside one decade: no quantile falls below the minimum.
+  Histogram &Spread = Reg.histogram("test.histogram.spread");
+  for (int I = 20; I <= 30; ++I)
+    Spread.record(double(I));
+  MetricsSnapshot Snapshot = Reg.snapshotMetrics();
+  ASSERT_EQ(Snapshot.Histograms.size(), 2u);
+  for (const auto &[Name, HS] : Snapshot.Histograms) {
+    EXPECT_GE(HS.P50, HS.Min) << Name;
+    EXPECT_LE(HS.P50, HS.P95) << Name;
+    EXPECT_LE(HS.P95, HS.P99) << Name;
+    EXPECT_LE(HS.P99, HS.Max) << Name;
+  }
+  EXPECT_GE(Spread.quantile(0.0), 20.0);
+}
+
 TEST(HistogramTest, SnapshotMetricsCarriesQuantiles) {
   Registry Reg;
   Reg.counter("test.snapshot.count").add(7);

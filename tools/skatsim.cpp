@@ -59,6 +59,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -333,14 +334,12 @@ int cmdFleet(const ArgList &Args) {
   thermal::FleetNetwork Fleet = thermal::buildFleetNetwork(Config);
   thermal::ThermalNetwork &Net = Fleet.Net;
   if (Args.has("dense"))
-    Net.setSparseSolver(false);
+    Net.setSparseThreshold(SIZE_MAX);
 
-  std::printf("fleet: %zu racks x %zu modules, %zu unknowns, sparse %s "
-              "(threshold %zu)\n",
+  std::printf("fleet: %zu racks x %zu modules, %zu unknowns, %s solve\n",
               Config.NumRacks, Config.ModulesPerRack,
               thermal::fleetUnknowns(Config),
-              Net.sparseSolverEnabled() ? "on" : "off",
-              Net.sparseThresholdUnknowns());
+              Net.solvesSparse() ? "sparse" : "dense");
 
   Expected<std::vector<double>> Steady = Net.solveSteadyState();
   if (!Steady) {
@@ -377,7 +376,7 @@ int cmdFleet(const ArgList &Args) {
   if (AuditMode) {
     Auditor = std::make_unique<audit::PhysicsAuditor>(AuditBudgets);
     Auditor->noteFactorCaching(Net.factorCachingEnabled());
-    Auditor->noteSparseSolver(Net.sparseSolverEnabled());
+    Auditor->noteSparseSolver(Net.solvesSparse());
     std::string TracePath = Args.getString("audit-trace", "");
     if (!TracePath.empty()) {
       Status Attached = Auditor->attachStream(TracePath);
@@ -388,9 +387,8 @@ int cmdFleet(const ArgList &Args) {
   double Minutes = Args.getDouble("minutes", 10.0);
   double DtS = Args.getDouble("dt-s", 5.0);
   int Steps = std::max(1, static_cast<int>(Minutes * 60.0 / DtS));
-  Net.setBoundaryTemp(Fleet.Facility,
-                      units::Celsius(Args.getDouble("water", 18.0) +
-                                     Args.getDouble("excursion-c", 6.0)));
+  Net.setBoundaryTemp(Fleet.Facility, Args.getDouble("water", 18.0) +
+                                          Args.getDouble("excursion-c", 6.0));
   std::vector<double> Temps = *Steady;
   double WorstChipC = MaxChipC;
   for (int Step = 0; Step != Steps; ++Step) {
@@ -1035,10 +1033,9 @@ int cmdServe(const ArgList &Args) {
   Config.UseSolverCache = !Args.has("no-cache");
   Config.TransientDtS = Args.getDouble("dt-s", 2.0);
   if (Args.has("water"))
-    Config.setWaterSetpoint(units::Celsius(Args.getDouble("water", 18.0)));
+    Config.WaterSetpointC = Args.getDouble("water", 18.0);
   if (Args.has("ambient"))
-    Config.setAmbientSetpoint(
-        units::Celsius(Args.getDouble("ambient", 25.0)));
+    Config.AmbientSetpointC = Args.getDouble("ambient", 25.0);
   service::ScenarioService Service(Config);
 
   int Code;
