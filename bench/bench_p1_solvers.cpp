@@ -19,6 +19,7 @@
 #include "fluids/Fluid.h"
 #include "hydraulics/Manifold.h"
 #include "sim/Transient.h"
+#include "support/Numerics.h"
 #include "support/Parallel.h"
 #include "telemetry/Bench.h"
 #include "telemetry/Telemetry.h"
@@ -33,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 using namespace rcs;
 
@@ -51,6 +53,43 @@ static thermal::ThermalNetwork makeLadderNetwork(int Rungs) {
       Net.addConductance(Chip, Chip - 2, 0.5); // Board coupling.
   }
   return Net;
+}
+
+/// The seed transient step, frozen as the reference leg of
+/// speedup_transient_factor_reuse: assemble C/dt + L and the right-hand
+/// side of makeLadderNetwork(\p Rungs) in the network's order, then
+/// eliminate with rcs::solveDense, every step. Same bits as the network
+/// (the report fails otherwise). Unknown 2I is rung I's chip, 2I+1 its sink.
+static Status seedLadderStep(int Rungs, std::vector<double> &Temps,
+                             double DtS) {
+  const size_t N = 2 * static_cast<size_t>(Rungs);
+  Matrix A(N, N);
+  std::vector<double> B(N, 0.0);
+  for (size_t U = 0; U != N; ++U) {
+    double CoverDt = (U % 2 != 0 ? 300.0 : 100.0) / DtS;
+    A.at(U, U) += CoverDt;
+    B[U] += CoverDt * Temps[U + 1] + (U % 2 != 0 ? 0.0 : 91.0);
+  }
+  auto Couple = [&](size_t P, size_t Q, double G) {
+    A.at(P, P) += G;
+    A.at(P, Q) -= G;
+    A.at(Q, Q) += G;
+    A.at(Q, P) -= G;
+  };
+  for (size_t Chip = 0; Chip != N; Chip += 2) {
+    Couple(Chip, Chip + 1, 1.0 / 0.12);
+    A.at(Chip + 1, Chip + 1) += 1.0 / 0.15; // Sink to the 30 C coolant.
+    B[Chip + 1] += 1.0 / 0.15 * 30.0;
+    if (Chip > 0)
+      Couple(Chip, Chip - 2, 0.5);
+  }
+  Expected<std::vector<double>> Next = solveDense(std::move(A), std::move(B));
+  if (!Next)
+    return Next.status();
+  Temps[0] = 30.0;
+  for (size_t U = 0; U != N; ++U)
+    Temps[U + 1] = (*Next)[U];
+  return Status::ok();
 }
 
 static void BM_ThermalSteadyState(benchmark::State &State) {
@@ -73,20 +112,6 @@ static void BM_ThermalTransientStep(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ThermalTransientStep)->Arg(8)->Arg(96);
-
-// Ablation: the seed path (rebuild + dense refactor every step) for
-// comparison against the cached-factorization default above.
-static void BM_ThermalTransientStepNoCache(benchmark::State &State) {
-  thermal::ThermalNetwork Net =
-      makeLadderNetwork(static_cast<int>(State.range(0)));
-  Net.setFactorCaching(false);
-  std::vector<double> Temps(Net.numNodes(), 30.0);
-  for (auto _ : State) {
-    Status S = Net.stepTransient(Temps, 1.0);
-    benchmark::DoNotOptimize(S);
-  }
-}
-BENCHMARK(BM_ThermalTransientStepNoCache)->Arg(8)->Arg(96);
 
 static hydraulics::RackHydraulics makeBenchRack(int NumLoops) {
   hydraulics::RackHydraulicsConfig Config;
@@ -210,21 +235,25 @@ template <typename Fn> double bestWallTimeS(int Rounds, Fn &&Body) {
   return Best;
 }
 
-/// Seconds for \p Steps transient ladder steps with/without factor reuse.
-/// 256 rungs = 512 unknowns: rack-scale, where the O(n^3) refactor the
-/// cache avoids dominates the O(n^2) backsolve it must still run. Pinned
-/// to the dense kernel: this leg measures factor *reuse*, and letting the
-/// cached leg route through the sparse solver would conflate the two
-/// ablations (the sparse-vs-dense ratio has its own legs below).
-double timeTransientLadderS(bool Caching, int Steps) {
+/// Seconds for \p Steps transient ladder steps: the network reusing its
+/// cached factor, or the frozen seed step; \p Temps gets the final state.
+/// 256 rungs = 512 unknowns: rack-scale, where the refactor the cache
+/// avoids dominates the backsolve it must still run. Pinned to the dense
+/// kernel: this leg measures factor *reuse*, and letting the cached leg
+/// route through the sparse solver would conflate the two ablations (the
+/// sparse-vs-dense ratio has its own legs below).
+double timeTransientLadderS(bool Seed, int Steps, std::vector<double> &Temps) {
   thermal::ThermalNetwork Net = makeLadderNetwork(256);
   Net.setSparseThreshold(SIZE_MAX);
-  Net.setFactorCaching(Caching);
-  std::vector<double> Temps(Net.numNodes(), 30.0);
-  (void)Net.stepTransient(Temps, 1.0); // Prime the cache outside the clock.
+  Temps.assign(Net.numNodes(), 30.0);
+  auto Step = [&] {
+    return Seed ? seedLadderStep(256, Temps, 1.0)
+                : Net.stepTransient(Temps, 1.0);
+  };
+  (void)Step(); // Prime the cache outside the clock.
   return bestWallTimeS(3, [&] {
     for (int I = 0; I != Steps; ++I)
-      (void)Net.stepTransient(Temps, 1.0);
+      (void)Step();
   });
 }
 
@@ -274,7 +303,6 @@ double timeRackNewtonS(bool Overhaul, int Solves) {
 double timeTransientLadderAuditedS(int Steps) {
   thermal::ThermalNetwork Net = makeLadderNetwork(256);
   Net.setSparseThreshold(SIZE_MAX); // Matches the un-audited dense leg.
-  Net.setFactorCaching(true);
   std::vector<double> Temps(Net.numNodes(), 30.0);
   (void)Net.stepTransient(Temps, 1.0); // Prime the cache outside the clock.
   audit::PhysicsAuditor Auditor((audit::DriftBudgets()));
@@ -427,8 +455,11 @@ int main(int Argc, char **Argv) {
   double RepScale = benchRepScale();
   int TransientSteps = std::max(10, static_cast<int>(200 * RepScale));
   int NewtonSolves = std::max(4, static_cast<int>(40 * RepScale));
-  double TransientSeedS = timeTransientLadderS(false, TransientSteps);
-  double TransientCachedS = timeTransientLadderS(true, TransientSteps);
+  std::vector<double> SeedTemps, CachedTemps, TracedTemps;
+  double TransientSeedS =
+      timeTransientLadderS(true, TransientSteps, SeedTemps);
+  double TransientCachedS =
+      timeTransientLadderS(false, TransientSteps, CachedTemps);
   double NewtonSeedS = timeRackNewtonS(false, NewtonSolves);
   double NewtonOverhaulS = timeRackNewtonS(true, NewtonSolves);
   double TransientSpeedup = TransientSeedS / TransientCachedS;
@@ -443,7 +474,8 @@ int main(int Argc, char **Argv) {
   // speedup: 1.0 = tracing is free, and bench_compare gates it the same
   // way, so a hot-path span regression trips CI.
   Telemetry.setSink(std::make_unique<DiscardSink>());
-  double TransientTracedS = timeTransientLadderS(true, TransientSteps);
+  double TransientTracedS =
+      timeTransientLadderS(false, TransientSteps, TracedTemps);
   (void)Telemetry.closeSink();
   double TracingOverhead = TransientCachedS / TransientTracedS;
   printf("ablation: span tracing overhead ratio %.2fx (no sink / discard "
@@ -608,7 +640,10 @@ int main(int Argc, char **Argv) {
   // Shape check only: the ablation legs ran and produced nonzero times.
   // (NumRun may be zero under --benchmark_filter, e.g. the CI smoke run;
   // performance thresholds are tools/bench_compare's job, not ours.)
+  // The frozen seed step and the cached network must land on the same
+  // bits, or the reuse ratio compares different work.
   bool Ok = TransientSeedS > 0.0 && TransientCachedS > 0.0 &&
+            SeedTemps == CachedTemps &&
             NewtonSeedS > 0.0 && NewtonOverhaulS > 0.0 &&
             TransientTracedS > 0.0 && TransientAuditedS > 0.0 &&
             SweepSerialS > 0.0 && SweepParallelS > 0.0 && LadderOk &&

@@ -481,13 +481,12 @@ std::string formatClosureTable(const AuditSummary &Summary,
                  : "PASS");
   std::snprintf(Row, sizeof(Row),
                 "%-24s %8llu max %d iter, %llu non-monotone, %llu "
-                "unconverged, factor caching %s, sparse %s  %s\n",
+                "unconverged, sparse %s  %s\n",
                 "newton_health",
                 static_cast<unsigned long long>(Summary.FlowSolves),
                 Summary.MaxNewtonIterations,
                 static_cast<unsigned long long>(Summary.NonMonotoneResiduals),
                 static_cast<unsigned long long>(Summary.UnconvergedSolves),
-                Summary.FactorCachingEnabled ? "on" : "off",
                 Summary.SparseSolverEnabled ? "on" : "off", NewtonVerdict);
   Table += Row;
   return Table;
@@ -534,9 +533,7 @@ Status writeAuditReport(const std::string &Path, const std::string &Command,
          std::to_string(Summary.NonMonotoneResiduals) +
          ", \"unconverged_solves\": " +
          std::to_string(Summary.UnconvergedSolves) +
-         ", \"factor_caching\": ";
-  Doc += Summary.FactorCachingEnabled ? "true" : "false";
-  Doc += ", \"sparse_solver\": ";
+         ", \"sparse_solver\": ";
   Doc += Summary.SparseSolverEnabled ? "true" : "false";
   Doc += "}\n}\n";
 

@@ -126,7 +126,6 @@ struct AuditSummary {
   int MaxNewtonIterations = 0;
   uint64_t NonMonotoneResiduals = 0;
   uint64_t UnconvergedSolves = 0;
-  bool FactorCachingEnabled = true;
   /// True when the audited thermal solves took the sparse path; false
   /// when they solved dense or no thermal network was audited.
   bool SparseSolverEnabled = false;
@@ -180,11 +179,6 @@ public:
                           const hydraulics::FlowSolution &Sol,
                           const fluids::Fluid &F, double TempC,
                           double FlowScaleM3PerS);
-
-  /// Records the thermal factor-cache configuration (once per run).
-  void noteFactorCaching(bool Enabled) {
-    Summary.FactorCachingEnabled = Enabled;
-  }
 
   /// Records whether the thermal solves take the sparse path (once per
   /// run; pass ThermalNetwork::solvesSparse()), so reports say which

@@ -302,41 +302,18 @@ ScenarioService::evaluateSteady(const ServiceRequest &Request) {
   Load.Utilization = Request.Util.value_or(Load.Utilization);
   Load.ClockFraction = Request.Clock.value_or(Load.ClockFraction);
 
-  auto Solve = [&](const rcsystem::ModuleConfig &Module) -> ServiceResponse {
-    rcsystem::ComputationalModule TheModule(Module);
-    Expected<rcsystem::ModuleThermalReport> Report =
-        TheModule.solveSteadyState(Conditions, Load);
-    if (!Report)
-      return errorResponse(Request.Id, ErrorKind::Evaluation,
-                           Report.message());
-    ServiceResponse Response;
-    Response.Id = Request.Id;
-    Response.Ok = true;
-    Response.ResultJson = renderSteadyResult(*Report);
-    return Response;
-  };
-
-  if (!Config.UseSolverCache)
-    return Solve(*ModuleCfg);
-
-  // Steady solves rebuild their fluids internally (system/Cooling.cpp),
-  // so the registry only amortizes the resolved plant config; the entry
-  // carries no transient assets (DtS = 0 keys the steady family).
-  sim::TransientConfig SimCfg;
-  SolverCacheKey Key;
-  Key.ConfigHash = hashPlantConfig(*ModuleCfg, SimCfg);
-  Key.DtS = 0.0;
-  Expected<SolverCacheRegistry::Lease> Lease =
-      Cache.acquire(Key, [&]() -> Expected<PlantCacheEntry> {
-        PlantCacheEntry Entry;
-        Entry.Module = *ModuleCfg;
-        Entry.SimConfig = SimCfg;
-        return Entry;
-      });
-  if (!Lease)
-    return errorResponse(Request.Id, ErrorKind::Evaluation, Lease.message());
-  ServiceResponse Response = Solve(Lease->entry().Module);
-  Response.CacheState = Lease->warm() ? "warm" : "cold";
+  // Steady solves build their fluids and network inside the solve
+  // (system/Cooling.cpp), so there is no warm state to lease: they bypass
+  // the cache.
+  rcsystem::ComputationalModule TheModule(*ModuleCfg);
+  Expected<rcsystem::ModuleThermalReport> Report =
+      TheModule.solveSteadyState(Conditions, Load);
+  if (!Report)
+    return errorResponse(Request.Id, ErrorKind::Evaluation, Report.message());
+  ServiceResponse Response;
+  Response.Id = Request.Id;
+  Response.Ok = true;
+  Response.ResultJson = renderSteadyResult(*Report);
   return Response;
 }
 
@@ -370,9 +347,9 @@ ScenarioService::evaluateTransient(const ServiceRequest &Request) {
   Response.Id = Request.Id;
 
   // The warm path: borrow the plant's solver assets (fluid property
-  // caches, persistent network with its keyed LU factors) from the
-  // shared registry. Results are bit-identical warm or cold
-  // (sim/SolverAssets.h); service_test asserts it.
+  // caches, the built network) from the shared registry. Results are
+  // bit-identical warm or cold (sim/SolverAssets.h); service_test
+  // asserts it.
   SolverCacheRegistry::Lease Lease;
   if (Config.UseSolverCache) {
     SolverCacheKey Key;
@@ -381,8 +358,6 @@ ScenarioService::evaluateTransient(const ServiceRequest &Request) {
     Expected<SolverCacheRegistry::Lease> Acquired =
         Cache.acquire(Key, [&]() -> Expected<PlantCacheEntry> {
           PlantCacheEntry Entry;
-          Entry.Module = *ModuleCfg;
-          Entry.SimConfig = SimCfg;
           Entry.Assets = std::make_unique<sim::TransientSolverAssets>(
               *ModuleCfg, SimCfg);
           return Entry;

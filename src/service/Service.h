@@ -7,9 +7,10 @@
 /// \file
 /// The scenario service behind `skatsim serve`: a bounded request queue
 /// with backpressure, batched dispatch onto the support/Parallel.h pool,
-/// and a shared keyed SolverCacheRegistry so concurrent requests against
-/// the same plant configuration hit warm LU factors and fluid-property
-/// tables instead of paying cold-start per query (docs/SERVICE.md).
+/// and a shared keyed SolverCacheRegistry so concurrent transient requests
+/// against the same plant configuration reuse a built thermal network and
+/// resampled fluid-property tables instead of paying cold-start per query
+/// (docs/SERVICE.md).
 ///
 /// Threading model: submit() and drain() are safe to call concurrently
 /// from any threads; evaluation inside drain() fans out with

@@ -94,11 +94,10 @@ rcs::service::hashPlantConfig(const rcsystem::ModuleConfig &Module,
   fold(Hash, static_cast<int>(Im.Tim));
   fold(Hash, Im.TimExposureHours);
   fold(Hash, static_cast<int>(Im.Distribution));
-  // The asset-shaping engine tunables: capacitance anchors and the
-  // property-cache toggle change warm state, so they key it.
+  // The asset-shaping engine tunables: the capacitance anchors change
+  // warm state, so they key it.
   fold(Hash, Sim.ChipCapacitancePerFpgaJPerK);
   fold(Hash, Sim.OilVolumeM3);
-  fold(Hash, Sim.UseFluidPropertyCache);
   return Hash;
 }
 

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The PR 5 solver caches (keyed LU factors in thermal::ThermalNetwork,
-/// uniform-grid fluid property tables) are per-object: they die with the
-/// simulator that built them. This registry lifts them to the service
-/// layer: warmed sim::TransientSolverAssets are kept alive keyed on
-/// (plant-config hash, dt) so concurrent requests sharing a plant
-/// configuration hit warm factors instead of paying cold-start per query.
+/// A transient simulator's warm state (the built thermal network and the
+/// uniform-grid fluid property tables) is per-object: it dies with the
+/// simulator that built it. This registry lifts it to the service layer:
+/// warmed sim::TransientSolverAssets are kept alive keyed on
+/// (plant-config hash, dt) so concurrent transient requests sharing a
+/// plant configuration skip the network build and the table resampling
+/// instead of paying cold-start per query.
 ///
 /// Because a thermal network must not be solved from two threads at once,
 /// entries are handed out under exclusive move-only Leases. A second
@@ -42,27 +43,23 @@ namespace rcs {
 namespace service {
 
 /// Cache key: a canonical hash of the plant configuration plus the
-/// integration step (LU factors are keyed on exact dt downstream).
+/// integration step, compared bit-exactly.
 struct SolverCacheKey {
   uint64_t ConfigHash = 0;
-  /// Transient integration step, s; 0 for steady-only entries.
+  /// Transient integration step, s.
   double DtS = 0.0;
 };
 
 bool operator==(const SolverCacheKey &A, const SolverCacheKey &B);
 
 /// FNV-1a over the fields of \p Module and the asset-shaping tunables of
-/// \p Sim that change solver state (capacitance anchors, property-cache
-/// toggle). Two configs hashing equal must produce interchangeable
-/// assets.
+/// \p Sim that change solver state (the capacitance anchors). Two configs
+/// hashing equal must produce interchangeable assets.
 uint64_t hashPlantConfig(const rcsystem::ModuleConfig &Module,
                          const sim::TransientConfig &Sim);
 
 /// What one cache entry keeps warm for its plant configuration.
 struct PlantCacheEntry {
-  rcsystem::ModuleConfig Module;
-  sim::TransientConfig SimConfig;
-  /// Warmed transient assets; null for steady-only entries.
   std::unique_ptr<sim::TransientSolverAssets> Assets;
 };
 

@@ -130,16 +130,14 @@ RackTransientSimulator::run(double DurationS) {
   Commands.UtilizationScale.assign(NumModules, 1.0);
   Commands.ForceShutdown.assign(NumModules, false);
 
-  if (Config.UseFluidPropertyCache) {
-    Oil->enablePropertyCache();
-    Water->enablePropertyCache();
-  }
+  Oil->enablePropertyCache();
+  Water->enablePropertyCache();
 
   // One persistent network serves every module: all modules share the same
   // four-node structure and capacitances, so only conductances, heat
   // sources and boundary temperatures are rewritten per module-step. The
-  // solver's symbolic phase (unknown indexing, pivot order) is computed
-  // once for the whole run.
+  // solver's symbolic phase (unknown indexing) is computed once for the
+  // whole run; the rewritten conductances refactor every module-step.
   thermal::ThermalNetwork Net;
   thermal::NodeId Chips = Net.addNode("chips", ChipCapacitance);
   thermal::NodeId Bath = Net.addNode("oil", OilCapacitance);
@@ -161,7 +159,6 @@ RackTransientSimulator::run(double DurationS) {
   };
 
   if (Auditor) {
-    Auditor->noteFactorCaching(Net.factorCachingEnabled());
     Auditor->noteSparseSolver(Net.solvesSparse());
     Auditor->setCriticalCallback([this](const std::string &,
                                         double BreachTimeS) {

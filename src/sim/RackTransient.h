@@ -101,10 +101,6 @@ struct RackTransientConfig {
   monitor::SupervisorTuning Supervision;
   /// Period of the external control policy loop (setControlPolicy).
   double ControlPeriodS = 60.0;
-  /// Resample fluid property tables onto uniform grids for O(1) lookups
-  /// (see fluids::Fluid::enablePropertyCache). Off for an exact-table
-  /// ablation run; cached values agree to ~1e-15 relative.
-  bool UseFluidPropertyCache = true;
 };
 
 /// One recorded rack-level sample.

@@ -48,8 +48,6 @@ TransientSolverAssets::TransientSolverAssets(const ModuleConfig &Module,
   // Property lookups dominate the per-step conductance evaluation; the
   // uniform-grid cache makes them O(1) (agreement with the exact tables
   // is covered by the solver-equivalence tests).
-  if (Config.UseFluidPropertyCache) {
-    Oil->enablePropertyCache();
-    Water->enablePropertyCache();
-  }
+  Oil->enablePropertyCache();
+  Water->enablePropertyCache();
 }

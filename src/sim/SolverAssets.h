@@ -8,8 +8,9 @@
 /// Warmed solver state a TransientSimulator run needs and that is worth
 /// keeping alive between runs sharing one plant configuration: the bath
 /// and facility-water fluid objects (with their uniform-grid property
-/// caches already resampled) and the persistent two-node thermal network
-/// whose symbolic indexing and keyed LU factors survive across runs.
+/// caches already resampled) and the built two-node thermal network with
+/// its unknown indexing. No LU factor survives a step: the step loop
+/// re-sets both conductances every step, so every step refactors.
 ///
 /// A run that borrows assets produces bit-identical results to one that
 /// builds them fresh: every network quantity the step loop touches
@@ -43,7 +44,7 @@ namespace sim {
 class TransientSolverAssets {
 public:
   /// Builds the assets for \p Module under the engine tunables in
-  /// \p Config (capacitance anchors and the property-cache toggle).
+  /// \p Config (the capacitance anchors).
   /// \p Module must use immersion cooling.
   TransientSolverAssets(const rcsystem::ModuleConfig &Module,
                         const TransientConfig &Config);

@@ -163,18 +163,16 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
   double ChipTemp = OilTemp + 5.0;
 
   // Persistent two-node network: built once (in the assets), mutated in
-  // place each step so the solver's symbolic phase (unknown indexing,
-  // pivot order) survives the whole run — and, when the assets are
-  // shared, across runs. The temperature-dependent conductances still
-  // change every step, so the numeric factorization refreshes, but
-  // nothing is re-allocated or re-indexed.
+  // place each step so the solver's symbolic phase (unknown indexing)
+  // survives the whole run — and, when the assets are shared, across
+  // runs. The temperature-dependent conductances change every step, so
+  // every step refactors; the network is never rebuilt or re-indexed.
   thermal::ThermalNetwork &Net = Assets->network();
   thermal::NodeId Chips = Assets->chipsNode();
   thermal::NodeId Bath = Assets->bathNode();
   thermal::NodeId WaterNode = Assets->waterBoundaryNode();
 
   if (Auditor) {
-    Auditor->noteFactorCaching(Net.factorCachingEnabled());
     Auditor->noteSparseSolver(Net.solvesSparse());
     Auditor->setCriticalCallback(
         [this](const std::string &, double BreachTimeS) {

@@ -49,10 +49,6 @@ struct TransientConfig {
   /// Lumped heat capacities.
   double ChipCapacitancePerFpgaJPerK = 120.0; ///< Package + sink mass.
   double OilVolumeM3 = 0.20;                  ///< Bath inventory.
-  /// Resample fluid property tables onto uniform grids for O(1) lookups
-  /// (see fluids::Fluid::enablePropertyCache). Off for an exact-table
-  /// ablation run; cached values agree to ~1e-15 relative.
-  bool UseFluidPropertyCache = true;
 };
 
 /// Multiplicative plant-degradation state applied for one integration step.
@@ -178,7 +174,7 @@ public:
   const audit::PhysicsAuditor *auditor() const { return Auditor.get(); }
 
   /// Borrows warmed solver assets (fluids with resampled property
-  /// caches, the persistent two-node network with its LU factors) built
+  /// caches, the built two-node network) built
   /// for this module configuration and TransientConfig, instead of
   /// constructing them inside run(). Results are bit-identical either
   /// way (see sim/SolverAssets.h); the caller keeps ownership, must keep

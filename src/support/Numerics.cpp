@@ -35,10 +35,6 @@ Expected<std::vector<double>> rcs::solveDense(Matrix A,
   assert(A.rows() == A.cols() && "solveDense needs a square matrix");
   assert(A.rows() == B.size() && "dimension mismatch in solveDense");
   const size_t N = A.rows();
-  std::vector<size_t> Perm(N);
-  for (size_t I = 0; I != N; ++I)
-    Perm[I] = I;
-
   for (size_t Col = 0; Col != N; ++Col) {
     // Partial pivoting: pick the largest magnitude entry in this column.
     size_t Pivot = Col;

@@ -86,14 +86,6 @@ public:
   /// Solves A * X = B using the stored factors. Requires valid().
   std::vector<double> solve(std::vector<double> B) const;
 
-  /// Drops the stored factors.
-  void reset() {
-    Valid = false;
-    Lu = Matrix();
-    LowerPacked.clear();
-    PivotRow.clear();
-  }
-
 private:
   /// Packed factors: multipliers below the diagonal, U on and above it.
   Matrix Lu;

@@ -112,8 +112,6 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
   const fpga::FpgaSpec &Spec = Board.fpgaSpec();
   fpga::FpgaPowerModel PowerModel(Spec);
   auto Air = fluids::makeAir();
-  if (Options.UseFluidPropertyCache)
-    Air->enablePropertyCache();
   thermal::PlateFinHeatSink Sink("air sink", Cfg.SinkGeometry);
 
   double PackageArea = Spec.PackageSizeM * Spec.PackageSizeM;
@@ -220,8 +218,6 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
   const fpga::FpgaSpec &Spec = Board.fpgaSpec();
   fpga::FpgaPowerModel PowerModel(Spec);
   auto Water = fluids::makeWater();
-  if (Options.UseFluidPropertyCache)
-    Water->enablePropertyCache();
 
   double PackageArea = Spec.PackageSizeM * Spec.PackageSizeM;
   double TimR = thermal::ThermalInterface::makeSiliconeGrease(PackageArea)
@@ -330,10 +326,6 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
   fpga::FpgaPowerModel PowerModel(Spec);
   auto Oil = makeCoolant(Cfg.CoolantKind);
   auto Water = fluids::makeWater();
-  if (Options.UseFluidPropertyCache) {
-    Oil->enablePropertyCache();
-    Water->enablePropertyCache();
-  }
   thermal::PinFinHeatSink Sink("immersion sink", Cfg.SinkGeometry);
 
   double PackageArea = Spec.PackageSizeM * Spec.PackageSizeM;

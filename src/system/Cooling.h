@@ -118,13 +118,6 @@ struct ModuleThermalReport;
 
 /// Options for the module steady-state cooling solvers.
 struct ModuleSolveOptions {
-  /// Cache fluid property evaluations inside the solver's fixed-point
-  /// loops (see fluids::Fluid::enablePropertyCache). Off by default so
-  /// results evaluate the exact property tables; the cached grid agrees
-  /// only to floating-point rounding (~1e-15 relative). Opt in where
-  /// repeated-solve throughput matters (sweeps, design exploration).
-  bool UseFluidPropertyCache = false;
-
   /// Warm-start the coupled heat/temperature fixed point from a prior
   /// report of the *same module shape* — the trim-loop and design-sweep
   /// pattern, mirroring FlowSolveOptions::WarmStartPressuresPa. The

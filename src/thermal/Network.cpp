@@ -22,7 +22,7 @@ NodeId ThermalNetwork::addNode(std::string Name, double CapacitanceJPerK) {
   N.Name = std::move(Name);
   N.CapacitanceJPerK = CapacitanceJPerK;
   Nodes.push_back(std::move(N));
-  invalidateSymbolic();
+  invalidateSparsePattern();
   return Nodes.size() - 1;
 }
 
@@ -32,7 +32,7 @@ NodeId ThermalNetwork::addBoundaryNode(std::string Name, double TempC) {
   N.Boundary = true;
   N.TempC = TempC;
   Nodes.push_back(std::move(N));
-  invalidateSymbolic();
+  invalidateSparsePattern();
   return Nodes.size() - 1;
 }
 
@@ -94,37 +94,21 @@ void ThermalNetwork::setCapacitance(NodeId Node, double CapacitanceJPerK) {
   assert(CapacitanceJPerK >= 0 && "negative thermal capacitance");
   Nodes[Node].CapacitanceJPerK = CapacitanceJPerK;
   // Capacitance enters only the implicit-Euler matrix; the steady-state
-  // factors (dense and sparse) stay valid.
-  Cache.TransientValid = false;
-  Cache.SparseTransientValid = false;
-}
-
-void ThermalNetwork::setFactorCaching(bool Enabled) {
-  CachingEnabled = Enabled;
-  if (!Enabled) {
-    Cache.SteadyFactor.reset();
-    Cache.TransientFactor.reset();
-    Cache.SparseSteady.reset();
-    Cache.SparseTransient.reset();
-    invalidateSparsePattern();
-    invalidateNumeric();
-  }
+  // factor stays valid.
+  Cache.Transient.Valid = false;
 }
 
 void ThermalNetwork::setSparseThreshold(size_t MinUnknowns) {
   SparseThresholdUnknowns = MinUnknowns;
+  // A valid factor may belong to the path the new threshold leaves.
+  invalidateNumeric();
 }
 
 size_t ThermalNetwork::solverMemoryBytes() const {
   size_t Bytes = 0;
-  if (Cache.SteadyFactor.valid())
-    Bytes +=
-        Cache.SteadyFactor.size() * Cache.SteadyFactor.size() * sizeof(double);
-  if (Cache.TransientFactor.valid())
-    Bytes += Cache.TransientFactor.size() * Cache.TransientFactor.size() *
-             sizeof(double);
-  Bytes += Cache.SparseSteady.memoryBytes();
-  Bytes += Cache.SparseTransient.memoryBytes();
+  for (const Factor *F : {&Cache.Steady, &Cache.Transient})
+    Bytes += F->Dense.size() * F->Dense.size() * sizeof(double) +
+             F->Sparse.memoryBytes();
   return Bytes;
 }
 
@@ -156,238 +140,164 @@ double ThermalNetwork::totalSourcePowerW() const {
 }
 
 void ThermalNetwork::ensureSymbolic() const {
-  if (Cache.SymbolicValid)
-    return;
   // Symbolic phase: index internal nodes into the reduced unknown vector.
-  // Recomputed only when nodes are inserted; both numeric factors are
-  // stale once the indexing changes.
+  // Nodes are only ever appended, so the indexing is current exactly when
+  // it covers every node; an insertion also dropped both factors.
+  if (Cache.UnknownIndex.size() == Nodes.size())
+    return;
   Cache.UnknownIndex.assign(Nodes.size(), SIZE_MAX);
   Cache.NumUnknowns = 0;
   for (size_t I = 0, E = Nodes.size(); I != E; ++I)
     if (!Nodes[I].Boundary)
       Cache.UnknownIndex[I] = Cache.NumUnknowns++;
-  Cache.SymbolicValid = true;
-  Cache.SteadyValid = false;
-  Cache.TransientValid = false;
-  Cache.SparsePatternValid = false;
-  Cache.SparseSteadyValid = false;
-  Cache.SparseTransientValid = false;
 }
 
-void ThermalNetwork::ensureSparsePattern() const {
-  if (Cache.SparsePatternValid)
-    return;
-  // Topology changed since the last sparse solve: drop both symbolic
-  // analyses so the next factorize re-runs ordering + elimination tree
-  // over the current pattern.
-  Cache.SparseSteady.reset();
-  Cache.SparseTransient.reset();
-  Cache.SparseSteadyValid = false;
-  Cache.SparseTransientValid = false;
-  Cache.SparsePatternValid = true;
-}
-
-Matrix ThermalNetwork::assembleSteadyMatrix() const {
-  Matrix A(Cache.NumUnknowns, Cache.NumUnknowns);
+template <typename AddFn>
+void ThermalNetwork::forEachEntry(double DtS, AddFn &&Add) const {
+  // The diagonal is emitted for every unknown, zero for the steady system,
+  // so both systems share one sparsity pattern. Adding -G is bitwise the
+  // same as subtracting G: a dense sum of these entries is the seed's.
+  for (size_t I = 0, E = Nodes.size(); I != E; ++I)
+    if (!Nodes[I].Boundary)
+      Add(Cache.UnknownIndex[I], Cache.UnknownIndex[I],
+          DtS > 0.0 ? Nodes[I].CapacitanceJPerK / DtS : 0.0);
   for (const Edge &Ed : Edges) {
     bool ABound = Nodes[Ed.A].Boundary;
     bool BBound = Nodes[Ed.B].Boundary;
-    if (ABound && BBound)
-      continue;
     if (!ABound) {
       size_t IA = Cache.UnknownIndex[Ed.A];
-      A.at(IA, IA) += Ed.GWPerK;
+      Add(IA, IA, Ed.GWPerK);
       if (!BBound)
-        A.at(IA, Cache.UnknownIndex[Ed.B]) -= Ed.GWPerK;
+        Add(IA, Cache.UnknownIndex[Ed.B], -Ed.GWPerK);
     }
     if (!BBound) {
       size_t IB = Cache.UnknownIndex[Ed.B];
-      A.at(IB, IB) += Ed.GWPerK;
+      Add(IB, IB, Ed.GWPerK);
       if (!ABound)
-        A.at(IB, Cache.UnknownIndex[Ed.A]) -= Ed.GWPerK;
+        Add(IB, Cache.UnknownIndex[Ed.A], -Ed.GWPerK);
     }
   }
-  return A;
 }
 
-Matrix ThermalNetwork::assembleTransientMatrix(double DtS) const {
-  Matrix A(Cache.NumUnknowns, Cache.NumUnknowns);
+std::vector<double>
+ThermalNetwork::assembleRhs(const std::vector<double> &Temps,
+                            double DtS) const {
+  // Sources (plus C/dt T^n for a step), then boundary couplings in edge
+  // order: the seed accumulation order, which keeps results bit-identical.
+  // Nothing here enters the matrix, so RHS-only mutators keep the factor.
+  std::vector<double> B(Cache.NumUnknowns, 0.0);
   for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
     if (Nodes[I].Boundary)
       continue;
     size_t U = Cache.UnknownIndex[I];
-    A.at(U, U) += Nodes[I].CapacitanceJPerK / DtS;
+    if (DtS > 0.0)
+      B[U] += Nodes[I].CapacitanceJPerK / DtS * Temps[I] + Nodes[I].SourceW;
+    else
+      B[U] = Nodes[I].SourceW;
   }
   for (const Edge &Ed : Edges) {
     bool ABound = Nodes[Ed.A].Boundary;
     bool BBound = Nodes[Ed.B].Boundary;
-    if (ABound && BBound)
-      continue;
-    if (!ABound) {
-      size_t IA = Cache.UnknownIndex[Ed.A];
-      A.at(IA, IA) += Ed.GWPerK;
-      if (!BBound)
-        A.at(IA, Cache.UnknownIndex[Ed.B]) -= Ed.GWPerK;
-    }
-    if (!BBound) {
-      size_t IB = Cache.UnknownIndex[Ed.B];
-      A.at(IB, IB) += Ed.GWPerK;
-      if (!ABound)
-        A.at(IB, Cache.UnknownIndex[Ed.A]) -= Ed.GWPerK;
-    }
-  }
-  return A;
-}
-
-SparseCsr ThermalNetwork::assembleSparse(double DtS) const {
-  // Emit the structural diagonal first — value C/dt for the transient
-  // system, zero for steady — then the edge contributions in edge order.
-  // fromTriplets sums duplicates in input order, so repeated assembly is
-  // bit-reproducible, and because the coordinate list is identical for
-  // every DtS (including the steady DtS < 0 case) the steady and
-  // transient factors share one symbolic analysis.
-  std::vector<Triplet> Entries;
-  Entries.reserve(Cache.NumUnknowns + 4 * Edges.size());
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Boundary)
-      continue;
-    double DiagValue = DtS > 0.0 ? Nodes[I].CapacitanceJPerK / DtS : 0.0;
-    Entries.push_back({Cache.UnknownIndex[I], Cache.UnknownIndex[I], DiagValue});
-  }
-  for (const Edge &Ed : Edges) {
-    bool ABound = Nodes[Ed.A].Boundary;
-    bool BBound = Nodes[Ed.B].Boundary;
-    if (ABound && BBound)
-      continue;
-    if (!ABound) {
-      size_t IA = Cache.UnknownIndex[Ed.A];
-      Entries.push_back({IA, IA, Ed.GWPerK});
-      if (!BBound)
-        Entries.push_back({IA, Cache.UnknownIndex[Ed.B], -Ed.GWPerK});
-    }
-    if (!BBound) {
-      size_t IB = Cache.UnknownIndex[Ed.B];
-      Entries.push_back({IB, IB, Ed.GWPerK});
-      if (!ABound)
-        Entries.push_back({IB, Cache.UnknownIndex[Ed.A], -Ed.GWPerK});
-    }
-  }
-  return SparseCsr::fromTriplets(Cache.NumUnknowns, Entries);
-}
-
-Expected<std::vector<double>> ThermalNetwork::solveSteadyState() const {
-  static telemetry::Counter &SolveCount =
-      telemetry::Registry::global().counter("thermal.network.steady_solves");
-  static telemetry::Counter &FactorCount =
-      telemetry::Registry::global().counter("thermal.network.factorizations");
-  static telemetry::Counter &ReuseCount =
-      telemetry::Registry::global().counter("thermal.network.factor_reuses");
-  telemetry::Span SolveSpan("thermal.network.steady_solve");
-  SolveCount.add();
-  ensureSymbolic();
-  SolveSpan.attr("unknowns", static_cast<long long>(Cache.NumUnknowns));
-
-  std::vector<double> Temps(Nodes.size(), 0.0);
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I)
-    if (Nodes[I].Boundary)
-      Temps[I] = Nodes[I].TempC;
-  if (Cache.NumUnknowns == 0)
-    return Temps;
-
-  // Numeric phase, right-hand side: sources and boundary couplings change
-  // between solves without invalidating the factorization, so B is
-  // assembled fresh every call (same accumulation order as the seed
-  // single-pass assembly, which keeps results bit-identical).
-  std::vector<double> B(Cache.NumUnknowns, 0.0);
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I)
-    if (!Nodes[I].Boundary)
-      B[Cache.UnknownIndex[I]] = Nodes[I].SourceW;
-  for (const Edge &Ed : Edges) {
-    bool ABound = Nodes[Ed.A].Boundary;
-    bool BBound = Nodes[Ed.B].Boundary;
-    if (ABound && BBound)
-      continue;
     if (!ABound && BBound)
       B[Cache.UnknownIndex[Ed.A]] += Ed.GWPerK * Nodes[Ed.B].TempC;
     if (!BBound && ABound)
       B[Cache.UnknownIndex[Ed.B]] += Ed.GWPerK * Nodes[Ed.A].TempC;
   }
+  return B;
+}
 
-  std::vector<double> Reduced;
-  if (useSparsePath()) {
-    static telemetry::Counter &SparseCount =
-        telemetry::Registry::global().counter("thermal.network.sparse_solves");
-    static telemetry::Counter &SymbolicCount =
-        telemetry::Registry::global().counter(
-            "thermal.network.sparse_symbolic");
+Status ThermalNetwork::solveSystem(std::vector<double> &Temps, double DtS,
+                                   telemetry::Span &Span) const {
+  static telemetry::Counter &FactorCount =
+      telemetry::Registry::global().counter("thermal.network.factorizations");
+  static telemetry::Counter &ReuseCount =
+      telemetry::Registry::global().counter("thermal.network.factor_reuses");
+  static telemetry::Counter &SparseCount =
+      telemetry::Registry::global().counter("thermal.network.sparse_solves");
+  static telemetry::Counter &SymbolicCount =
+      telemetry::Registry::global().counter("thermal.network.sparse_symbolic");
+  if (Cache.NumUnknowns == 0) {
+    for (size_t I = 0, E = Nodes.size(); I != E; ++I)
+      if (Nodes[I].Boundary)
+        Temps[I] = Nodes[I].TempC;
+    return Status::ok();
+  }
+  bool Steady = DtS < 0.0;
+  Factor &F = Steady ? Cache.Steady : Cache.Transient;
+  bool Sparse = solvesSparse();
+  std::vector<double> B = assembleRhs(Temps, DtS);
+  if (Sparse) {
     SparseCount.add();
-    SolveSpan.attr("sparse", true);
-    ensureSparsePattern();
-    if (!Cache.SparseSteadyValid) {
-      SparseCsr A = assembleSparse(-1.0);
-      if (!Cache.SparseSteady.analyzed()) {
+    Span.attr("sparse", true);
+  }
+
+  // skatlint:ignore(float-equality) -- dt is a cache key here, not a
+  // physics comparison: any bitwise change must trigger a refactor.
+  if (F.Valid && DtS == F.DtS) {
+    ReuseCount.add();
+    Span.attr("factor_hit", true);
+  } else {
+    // Numeric phase: a mutator dirtied the matrix, or dt changed. A failed
+    // refactor leaves no valid factor behind.
+    F.Valid = false;
+    Status Factored = Status::ok();
+    if (Sparse) {
+      std::vector<Triplet> Entries;
+      Entries.reserve(Cache.NumUnknowns + 4 * Edges.size());
+      forEachEntry(DtS, [&](size_t Row, size_t Col, double Value) {
+        Entries.push_back({Row, Col, Value});
+      });
+      // fromTriplets sums duplicates in input order: bit-reproducible.
+      SparseCsr A = SparseCsr::fromTriplets(Cache.NumUnknowns, Entries);
+      if (!F.Sparse.analyzed()) {
         // Symbolic phase: ordering + elimination tree, pattern-only work
-        // reused across every numeric refactorization below.
-        (void)Cache.SparseSteady.analyze(A);
+        // reused by every refactorization until the topology changes.
+        (void)F.Sparse.analyze(A);
         SymbolicCount.add();
       }
-      Status Factored = Cache.SparseSteady.factorize(A);
-      if (!Factored) {
-        telemetry::Registry::global()
-            .counter("thermal.network.solve_failures")
-            .add();
-        return Expected<std::vector<double>>::error(
-            "thermal network is singular: an internal node has no path to "
-            "any boundary (" + Factored.message() + ")");
-      }
-      Cache.SparseSteadyValid = true;
-      FactorCount.add();
-      SolveSpan.attr("factor_hit", false);
+      Factored = F.Sparse.factorize(A);
     } else {
-      ReuseCount.add();
-      SolveSpan.attr("factor_hit", true);
+      Matrix A(Cache.NumUnknowns, Cache.NumUnknowns);
+      forEachEntry(DtS, [&](size_t Row, size_t Col, double Value) {
+        A.at(Row, Col) += Value;
+      });
+      Factored = F.Dense.factor(std::move(A));
     }
-    Reduced = Cache.SparseSteady.solve(std::move(B));
-  } else if (CachingEnabled) {
-    // Numeric phase, matrix: refactor only when a mutator dirtied the
-    // conductances since the factorization was built.
-    if (!Cache.SteadyValid) {
-      Status Factored = Cache.SteadyFactor.factor(assembleSteadyMatrix());
-      if (!Factored) {
-        telemetry::Registry::global()
-            .counter("thermal.network.solve_failures")
-            .add();
-        return Expected<std::vector<double>>::error(
-            "thermal network is singular: an internal node has no path to "
-            "any boundary (" + Factored.message() + ")");
-      }
-      Cache.SteadyValid = true;
-      FactorCount.add();
-      SolveSpan.attr("factor_hit", false);
-    } else {
-      ReuseCount.add();
-      SolveSpan.attr("factor_hit", true);
-    }
-    Reduced = Cache.SteadyFactor.solve(std::move(B));
-  } else {
-    SolveSpan.attr("factor_hit", false);
-    // Ablation path: rebuild and refactor every call (seed behavior).
-    Expected<std::vector<double>> Solved =
-        solveDense(assembleSteadyMatrix(), std::move(B));
-    if (!Solved) {
+    if (!Factored) {
+      if (!Steady)
+        return Status::error("transient thermal step failed: " +
+                             Factored.message());
       telemetry::Registry::global()
           .counter("thermal.network.solve_failures")
           .add();
-      return Expected<std::vector<double>>::error(
-          "thermal network is singular: an internal node has no path to any "
-          "boundary (" + Solved.message() + ")");
+      return Status::error("thermal network is singular: an internal node "
+                           "has no path to any boundary (" +
+                           Factored.message() + ")");
     }
-    Reduced = std::move(*Solved);
+    F.Valid = true;
+    F.DtS = DtS;
+    FactorCount.add();
+    Span.attr("factor_hit", false);
   }
-
+  std::vector<double> Reduced =
+      Sparse ? F.Sparse.solve(std::move(B)) : F.Dense.solve(std::move(B));
   for (size_t I = 0, E = Nodes.size(); I != E; ++I)
-    if (!Nodes[I].Boundary)
-      Temps[I] = Reduced[Cache.UnknownIndex[I]];
+    Temps[I] = Nodes[I].Boundary ? Nodes[I].TempC
+                                 : Reduced[Cache.UnknownIndex[I]];
+  return Status::ok();
+}
+
+Expected<std::vector<double>> ThermalNetwork::solveSteadyState() const {
+  static telemetry::Counter &SolveCount =
+      telemetry::Registry::global().counter("thermal.network.steady_solves");
+  telemetry::Span SolveSpan("thermal.network.steady_solve");
+  SolveCount.add();
+  ensureSymbolic();
+  SolveSpan.attr("unknowns", static_cast<long long>(Cache.NumUnknowns));
+  std::vector<double> Temps(Nodes.size(), 0.0);
+  Status Solved = solveSystem(Temps, -1.0, SolveSpan);
+  if (!Solved)
+    return Solved;
   return Temps;
 }
 
@@ -401,124 +311,18 @@ Status ThermalNetwork::stepTransient(std::vector<double> &Temps,
   // overhead_span_tracing leg gates this cost).
   static telemetry::Counter &StepCount =
       telemetry::Registry::global().counter("thermal.network.transient_steps");
-  static telemetry::Counter &FactorCount =
-      telemetry::Registry::global().counter("thermal.network.factorizations");
-  static telemetry::Counter &ReuseCount =
-      telemetry::Registry::global().counter("thermal.network.factor_reuses");
   telemetry::Span StepSpan("thermal.network.step_transient");
   StepCount.add();
 
   ensureSymbolic();
   StepSpan.attr("unknowns", static_cast<long long>(Cache.NumUnknowns));
   StepSpan.attr("dt_s", DtS);
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Boundary)
-      continue;
-    if (Nodes[I].CapacitanceJPerK <= 0.0)
+  for (const Node &N : Nodes)
+    if (!N.Boundary && N.CapacitanceJPerK <= 0.0)
       return Status::error("transient step requires positive capacitance on "
-                           "internal node '" + Nodes[I].Name + "'");
-  }
-  if (Cache.NumUnknowns == 0) {
-    for (size_t I = 0, E = Nodes.size(); I != E; ++I)
-      if (Nodes[I].Boundary)
-        Temps[I] = Nodes[I].TempC;
-    return Status::ok();
-  }
-
+                           "internal node '" + N.Name + "'");
   // Implicit Euler: (C/dt + L) T^{n+1} = (C/dt) T^n + Q + G*T_boundary.
-  // The matrix depends only on capacitances, conductances, and dt; the
-  // right-hand side carries the state and is assembled fresh each step in
-  // the seed accumulation order (bit-identical results).
-  std::vector<double> B(Cache.NumUnknowns, 0.0);
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Boundary)
-      continue;
-    double CoverDt = Nodes[I].CapacitanceJPerK / DtS;
-    B[Cache.UnknownIndex[I]] += CoverDt * Temps[I] + Nodes[I].SourceW;
-  }
-  for (const Edge &Ed : Edges) {
-    bool ABound = Nodes[Ed.A].Boundary;
-    bool BBound = Nodes[Ed.B].Boundary;
-    if (ABound && BBound)
-      continue;
-    if (!ABound && BBound)
-      B[Cache.UnknownIndex[Ed.A]] += Ed.GWPerK * Nodes[Ed.B].TempC;
-    if (!BBound && ABound)
-      B[Cache.UnknownIndex[Ed.B]] += Ed.GWPerK * Nodes[Ed.A].TempC;
-  }
-
-  std::vector<double> Next;
-  if (useSparsePath()) {
-    static telemetry::Counter &SparseCount =
-        telemetry::Registry::global().counter("thermal.network.sparse_solves");
-    static telemetry::Counter &SymbolicCount =
-        telemetry::Registry::global().counter(
-            "thermal.network.sparse_symbolic");
-    SparseCount.add();
-    StepSpan.attr("sparse", true);
-    ensureSparsePattern();
-    // skatlint:ignore(float-equality) -- dt is a cache key here, not a
-    // physics comparison: any bitwise change must trigger a refactor.
-    bool SameDt = DtS == Cache.SparseTransientDtS;
-    if (!Cache.SparseTransientValid || !SameDt) {
-      SparseCsr A = assembleSparse(DtS);
-      if (!Cache.SparseTransient.analyzed()) {
-        // Symbolic phase, shared pattern with the steady system: survives
-        // conductance/capacitance/dt edits, redone only on topology
-        // changes.
-        (void)Cache.SparseTransient.analyze(A);
-        SymbolicCount.add();
-      }
-      Status Factored = Cache.SparseTransient.factorize(A);
-      if (!Factored)
-        return Status::error("transient thermal step failed: " +
-                             Factored.message());
-      Cache.SparseTransientValid = true;
-      Cache.SparseTransientDtS = DtS;
-      FactorCount.add();
-      StepSpan.attr("factor_hit", false);
-    } else {
-      ReuseCount.add();
-      StepSpan.attr("factor_hit", true);
-    }
-    Next = Cache.SparseTransient.solve(std::move(B));
-  } else if (CachingEnabled) {
-    // skatlint:ignore(float-equality) -- dt is a cache key here, not a
-    // physics comparison: any bitwise change must trigger a refactor.
-    bool SameDt = DtS == Cache.TransientDtS;
-    if (!Cache.TransientValid || !SameDt) {
-      Status Factored =
-          Cache.TransientFactor.factor(assembleTransientMatrix(DtS));
-      if (!Factored)
-        return Status::error("transient thermal step failed: " +
-                             Factored.message());
-      Cache.TransientValid = true;
-      Cache.TransientDtS = DtS;
-      FactorCount.add();
-      StepSpan.attr("factor_hit", false);
-    } else {
-      ReuseCount.add();
-      StepSpan.attr("factor_hit", true);
-    }
-    Next = Cache.TransientFactor.solve(std::move(B));
-  } else {
-    StepSpan.attr("factor_hit", false);
-    // Ablation path: rebuild and refactor every step (seed behavior).
-    Expected<std::vector<double>> Solved =
-        solveDense(assembleTransientMatrix(DtS), std::move(B));
-    if (!Solved)
-      return Status::error("transient thermal step failed: " +
-                           Solved.message());
-    Next = std::move(*Solved);
-  }
-
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Boundary)
-      Temps[I] = Nodes[I].TempC;
-    else
-      Temps[I] = Next[Cache.UnknownIndex[I]];
-  }
-  return Status::ok();
+  return solveSystem(Temps, DtS, StepSpan);
 }
 
 double

@@ -27,6 +27,10 @@
 #include <vector>
 
 namespace rcs {
+namespace telemetry {
+class Span;
+} // namespace telemetry
+
 namespace thermal {
 
 /// Index of a node inside a ThermalNetwork.
@@ -73,16 +77,6 @@ public:
   /// drained loops) without rebuilding the network each step.
   void setCapacitance(NodeId Node, double CapacitanceJPerK);
 
-  /// Enables or disables factorization caching (on by default).
-  ///
-  /// With caching off, every solve rebuilds and refactors the dense
-  /// system — the seed behavior, kept for benchmark ablations. Results
-  /// are bit-identical either way; only the work done differs.
-  void setFactorCaching(bool Enabled);
-
-  /// True when factorization caching is enabled.
-  bool factorCachingEnabled() const { return CachingEnabled; }
-
   /// Unknown count at which solves switch to the sparse path.
   ///
   /// Networks with at least \p MinUnknowns unknowns assemble directly into
@@ -96,10 +90,10 @@ public:
   void setSparseThreshold(size_t MinUnknowns);
 
   /// True when solves of the network as it stands take the sparse path:
-  /// factor caching is on and the unknown count reaches the threshold.
+  /// the unknown count reaches the threshold.
   bool solvesSparse() const {
     ensureSymbolic();
-    return useSparsePath();
+    return Cache.NumUnknowns >= SparseThresholdUnknowns;
   }
 
   /// The sparse-path switch-over threshold in unknowns.
@@ -174,9 +168,20 @@ private:
   std::vector<Node> Nodes;
   std::vector<Edge> Edges;
 
+  /// The cached factor of one system: the steady L, or C/dt + L for the
+  /// exact DtS it holds (< 0 for steady). Dense LU below the sparse
+  /// threshold, sparse LDL^T at or above it, whose symbolic analysis only
+  /// a topology change drops.
+  struct Factor {
+    bool Valid = false;
+    double DtS = -1.0;
+    LuFactorization Dense;
+    SparseLdlt Sparse;
+  };
+
   /// Split-phase solver cache (docs/PERFORMANCE.md). The symbolic phase
   /// (unknown indexing) is invalidated by node insertion; the numeric
-  /// phase (LU factors) by conductance mutation — plus capacitance
+  /// phase (the factors) by conductance mutation, plus capacitance
   /// mutation and time-step changes for the transient factor. Heat-source
   /// and boundary-temperature updates only touch the right-hand side and
   /// keep both factors valid. Mutable because solves are logically const
@@ -186,63 +191,39 @@ private:
   struct SolverCache {
     std::vector<size_t> UnknownIndex;
     size_t NumUnknowns = 0;
-    bool SymbolicValid = false;
-    LuFactorization SteadyFactor;
-    bool SteadyValid = false;
-    LuFactorization TransientFactor;
-    bool TransientValid = false;
-    double TransientDtS = -1.0; // Time step the transient factor was built for.
-
-    // Sparse path. The steady and transient systems share one sparsity
-    // pattern (the structural diagonal is always assembled, value zero if
-    // need be), so each SparseLdlt's symbolic products survive every
-    // mutation short of topology changes: RHS setters touch nothing,
-    // conductance/capacitance/dt edits drop only the numeric flags below,
-    // node or edge insertion clears PatternValid and forces both objects
-    // through a fresh analyze().
-    bool SparsePatternValid = false;
-    SparseLdlt SparseSteady;
-    bool SparseSteadyValid = false;
-    SparseLdlt SparseTransient;
-    bool SparseTransientValid = false;
-    double SparseTransientDtS = -1.0;
+    Factor Steady;
+    Factor Transient;
   };
   mutable SolverCache Cache;
-  bool CachingEnabled = true;
   size_t SparseThresholdUnknowns = DefaultSparseThresholdUnknowns;
 
-  void invalidateSymbolic() {
-    Cache.SymbolicValid = false;
-    invalidateSparsePattern();
-    invalidateNumeric();
-  }
   void invalidateNumeric() {
-    Cache.SteadyValid = false;
-    Cache.TransientValid = false;
-    Cache.SparseSteadyValid = false;
-    Cache.SparseTransientValid = false;
+    Cache.Steady.Valid = false;
+    Cache.Transient.Valid = false;
   }
+  /// A new node or edge: both systems share one sparsity pattern, so both
+  /// symbolic analyses go with the factors.
   void invalidateSparsePattern() {
-    Cache.SparsePatternValid = false;
-    Cache.SparseSteadyValid = false;
-    Cache.SparseTransientValid = false;
-  }
-  /// True when this solve should route through the sparse path.
-  bool useSparsePath() const {
-    return CachingEnabled && Cache.NumUnknowns >= SparseThresholdUnknowns;
+    invalidateNumeric();
+    for (Factor *F : {&Cache.Steady, &Cache.Transient})
+      if (F->Sparse.analyzed()) // Cheap per node and edge of a build.
+        F->Sparse.reset();
   }
   /// Rebuilds the unknown indexing when stale.
   void ensureSymbolic() const;
-  /// Drops stale sparse symbolic products after a topology change.
-  void ensureSparsePattern() const;
-  /// Assembles the reduced steady-state matrix (Laplacian over unknowns).
-  Matrix assembleSteadyMatrix() const;
-  /// Assembles the implicit-Euler matrix C/dt + L for \p DtS.
-  Matrix assembleTransientMatrix(double DtS) const;
-  /// CSR twins of the assemblers above. DtS < 0 selects the steady system
-  /// (structural zero diagonal); both emit the same coordinate list so
-  /// the two factors share one symbolic analysis.
-  SparseCsr assembleSparse(double DtS) const;
+  /// Visits the entries of the steady (DtS < 0) or implicit-Euler system
+  /// matrix: the structural diagonal (C/dt, or zero for steady) first,
+  /// then each edge's stencil in edge order.
+  template <typename AddFn> void forEachEntry(double DtS, AddFn &&Add) const;
+  /// Assembles the right-hand side of the steady (DtS < 0) or
+  /// implicit-Euler system advancing \p Temps.
+  std::vector<double> assembleRhs(const std::vector<double> &Temps,
+                                  double DtS) const;
+  /// Solves the steady (DtS < 0) or implicit-Euler system into \p Temps,
+  /// which holds the state to advance: refactors that system's cached
+  /// factor when a mutator or a new DtS dirtied it, reuses it otherwise.
+  Status solveSystem(std::vector<double> &Temps, double DtS,
+                     telemetry::Span &Span) const;
 };
 
 } // namespace thermal

@@ -322,6 +322,9 @@ TEST(ServiceTest, SteadyResultMatchesDirectSolve) {
                 "\"water_c\": 20}"});
   ASSERT_EQ(Out.size(), 1u);
   ASSERT_NE(Out[0].find("\"ok\": true"), std::string::npos) << Out[0];
+  // A steady solve has no warm state to lease, so it skips the cache.
+  EXPECT_NE(Out[0].find("\"cache\": \"bypass\""), std::string::npos);
+  EXPECT_EQ(Service.cacheStats().Hits + Service.cacheStats().Misses, 0u);
 
   // Mirror of `skatsim solve skat --water 20`.
   Expected<rcsystem::ModuleConfig> Cfg = core::designModuleByName("skat");
@@ -449,8 +452,9 @@ TEST(ServiceTest, ConcurrentMixedBatchSharesTheCacheSafely) {
   ScenarioService Service(Config);
   std::vector<std::string> Requests;
   for (int I = 0; I != 24; ++I) {
-    // Two transient keys (dt 2 and dt 4) plus a steady key, interleaved
-    // so concurrent workers collide on warm entries.
+    // Two transient keys (dt 2 and dt 4), interleaved so concurrent
+    // workers collide on warm entries, plus steady requests that bypass
+    // the cache.
     std::string Id = "m" + std::to_string(I);
     if (I % 3 == 0)
       Requests.push_back("{\"kind\": \"service_request\", \"id\": \"" +
@@ -469,7 +473,7 @@ TEST(ServiceTest, ConcurrentMixedBatchSharesTheCacheSafely) {
   for (const std::string &Line : Out)
     EXPECT_NE(Line.find("\"ok\": true"), std::string::npos) << Line;
   SolverCacheStats Stats = Service.cacheStats();
-  EXPECT_EQ(Stats.Hits + Stats.Misses, Requests.size());
+  EXPECT_EQ(Stats.Hits + Stats.Misses, 16u); // The transient requests.
   EXPECT_GT(Stats.Hits, 0u);
   ServiceSummary Summary = Service.summary();
   EXPECT_EQ(Summary.OkCount, Requests.size());

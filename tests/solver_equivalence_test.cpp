@@ -6,10 +6,11 @@
 ///
 /// The solver overhaul (cached LU factorizations, analytic hydraulic
 /// Jacobians, warm starts, resampled property tables) must not change
-/// results: the cached thermal paths are bit-identical to the dense seed
-/// path by construction, and the hydraulic/property fast paths agree to
-/// well inside solver tolerance. These tests pin those contracts on the
-/// topologies the simulators actually use.
+/// results: a cached thermal factor gives the same bits as a fresh one,
+/// `LuFactorization` the same bits as the seed `solveDense`, and the
+/// hydraulic/property fast paths agree to well inside solver tolerance.
+/// These tests pin those contracts on the topologies the simulators
+/// actually use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,7 +131,7 @@ TEST(NewtonSystemTest, AnalyticJacobianFindsTheSameRoot) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thermal network: cached factorization vs the seed dense path
+// Thermal network: cached factorization vs a fresh network
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -159,15 +160,18 @@ LadderHandles buildLadder(ThermalNetwork &Net, int N) {
 
 } // namespace
 
-TEST(ThermalEquivalenceTest, SteadyStateCachedMatchesUncachedExactly) {
-  ThermalNetwork Cached, Uncached;
-  buildLadder(Cached, 24);
-  buildLadder(Uncached, 24);
-  Uncached.setFactorCaching(false);
+// The reference in each test below is a network built fresh for each
+// solve, which has no factor to reuse: whatever the cached network reuses
+// or refactors, it must match that reference bit for bit.
 
+TEST(ThermalEquivalenceTest, SteadyStateCachedMatchesUncachedExactly) {
+  ThermalNetwork Cached;
+  buildLadder(Cached, 24);
   for (int Round = 0; Round != 3; ++Round) {
+    ThermalNetwork Fresh;
+    buildLadder(Fresh, 24);
     Expected<std::vector<double>> A = Cached.solveSteadyState();
-    Expected<std::vector<double>> B = Uncached.solveSteadyState();
+    Expected<std::vector<double>> B = Fresh.solveSteadyState();
     ASSERT_TRUE(A);
     ASSERT_TRUE(B);
     ASSERT_EQ(A->size(), B->size());
@@ -177,22 +181,25 @@ TEST(ThermalEquivalenceTest, SteadyStateCachedMatchesUncachedExactly) {
 }
 
 TEST(ThermalEquivalenceTest, RhsOnlyMutationsReuseTheFactorExactly) {
-  ThermalNetwork Cached, Uncached;
-  LadderHandles HC = buildLadder(Cached, 16);
-  LadderHandles HU = buildLadder(Uncached, 16);
-  Uncached.setFactorCaching(false);
+  ThermalNetwork Cached;
+  LadderHandles H = buildLadder(Cached, 16);
+  telemetry::Counter &Reuses =
+      telemetry::Registry::global().counter("thermal.network.factor_reuses");
 
   // Prime the cache, then mutate only sources and boundary temperature:
-  // the factorization must survive and still match the dense path.
+  // the factorization must survive and still match the fresh network.
   ASSERT_TRUE(Cached.solveSteadyState());
   for (int Round = 0; Round != 3; ++Round) {
-    double Power = 12.0 + 2.0 * Round;
-    Cached.setHeatSource(HC.Internal[3], Power);
-    Uncached.setHeatSource(HU.Internal[3], Power);
-    Cached.setBoundaryTemp(HC.Boundary, 18.0 + Round);
-    Uncached.setBoundaryTemp(HU.Boundary, 18.0 + Round);
+    ThermalNetwork Fresh;
+    buildLadder(Fresh, 16);
+    for (ThermalNetwork *Net : {&Cached, &Fresh}) {
+      Net->setHeatSource(H.Internal[3], 12.0 + 2.0 * Round);
+      Net->setBoundaryTemp(H.Boundary, 18.0 + Round);
+    }
+    uint64_t ReusesBefore = Reuses.value();
     Expected<std::vector<double>> A = Cached.solveSteadyState();
-    Expected<std::vector<double>> B = Uncached.solveSteadyState();
+    EXPECT_EQ(Reuses.value(), ReusesBefore + 1);
+    Expected<std::vector<double>> B = Fresh.solveSteadyState();
     ASSERT_TRUE(A);
     ASSERT_TRUE(B);
     for (size_t I = 0; I != A->size(); ++I)
@@ -201,63 +208,47 @@ TEST(ThermalEquivalenceTest, RhsOnlyMutationsReuseTheFactorExactly) {
 }
 
 TEST(ThermalEquivalenceTest, TransientTrajectoriesMatchThroughMutations) {
-  ThermalNetwork Cached, Uncached;
-  LadderHandles HC = buildLadder(Cached, 12);
-  LadderHandles HU = buildLadder(Uncached, 12);
-  Uncached.setFactorCaching(false);
-
+  ThermalNetwork Cached;
+  LadderHandles H = buildLadder(Cached, 12);
   std::vector<double> StateA(Cached.numNodes(), 22.0);
   std::vector<double> StateB = StateA;
   const double DtS = 2.0;
   for (int Step = 0; Step != 50; ++Step) {
     // Mid-run numeric mutations: conductance at step 20, capacitance at
-    // step 35 — the cached path must refactor and stay exact.
-    if (Step == 20) {
-      Cached.setConductance(HC.Internal[2], HC.Internal[3], 7.5);
-      Uncached.setConductance(HU.Internal[2], HU.Internal[3], 7.5);
-    }
-    if (Step == 35) {
-      Cached.setCapacitance(HC.Internal[5], 90.0);
-      Uncached.setCapacitance(HU.Internal[5], 90.0);
-    }
+    // step 35 — the cached path must refactor and stay exact. The fresh
+    // network carries every mutation made so far.
+    ThermalNetwork Fresh;
+    buildLadder(Fresh, 12);
+    if (Step == 20)
+      Cached.setConductance(H.Internal[2], H.Internal[3], 7.5);
+    if (Step >= 20)
+      Fresh.setConductance(H.Internal[2], H.Internal[3], 7.5);
+    if (Step == 35)
+      Cached.setCapacitance(H.Internal[5], 90.0);
+    if (Step >= 35)
+      Fresh.setCapacitance(H.Internal[5], 90.0);
     // RHS-only mutations every step.
-    Cached.setHeatSource(HC.Internal[0], 5.0 + 0.1 * Step);
-    Uncached.setHeatSource(HU.Internal[0], 5.0 + 0.1 * Step);
+    Cached.setHeatSource(H.Internal[0], 5.0 + 0.1 * Step);
+    Fresh.setHeatSource(H.Internal[0], 5.0 + 0.1 * Step);
     ASSERT_TRUE(Cached.stepTransient(StateA, DtS).isOk());
-    ASSERT_TRUE(Uncached.stepTransient(StateB, DtS).isOk());
+    ASSERT_TRUE(Fresh.stepTransient(StateB, DtS).isOk());
     for (size_t I = 0; I != StateA.size(); ++I)
       EXPECT_EQ(StateA[I], StateB[I]) << "step " << Step << " node " << I;
   }
 }
 
 TEST(ThermalEquivalenceTest, ChangingTimeStepRefactorsExactly) {
-  ThermalNetwork Cached, Uncached;
+  ThermalNetwork Cached;
   buildLadder(Cached, 8);
-  buildLadder(Uncached, 8);
-  Uncached.setFactorCaching(false);
-
   std::vector<double> StateA(Cached.numNodes(), 25.0);
   std::vector<double> StateB = StateA;
   for (double DtS : {1.0, 1.0, 4.0, 1.0, 0.5}) {
+    ThermalNetwork Fresh;
+    buildLadder(Fresh, 8);
     ASSERT_TRUE(Cached.stepTransient(StateA, DtS).isOk());
-    ASSERT_TRUE(Uncached.stepTransient(StateB, DtS).isOk());
+    ASSERT_TRUE(Fresh.stepTransient(StateB, DtS).isOk());
     for (size_t I = 0; I != StateA.size(); ++I)
       EXPECT_EQ(StateA[I], StateB[I]);
-  }
-}
-
-TEST(ThermalEquivalenceTest, SingularNetworkStillReportsTheSeedError) {
-  // An internal node with no path to any boundary must fail identically
-  // on the cached and uncached paths.
-  for (bool Caching : {true, false}) {
-    ThermalNetwork Net;
-    Net.setFactorCaching(Caching);
-    Net.addBoundaryNode("sink", 20.0);
-    Net.addNode("orphan", 10.0);
-    Expected<std::vector<double>> Result = Net.solveSteadyState();
-    ASSERT_FALSE(Result);
-    EXPECT_NE(Result.message().find("thermal network is singular"),
-              std::string::npos);
   }
 }
 
@@ -445,10 +436,15 @@ TEST(SparseEquivalenceTest, SolvesSparseNamesThePathSolvesTake) {
   Net.setSparseThreshold(17);
   EXPECT_FALSE(Net.solvesSparse());
   EXPECT_FALSE(SolveCountsSparse());
+  // The last solve left a dense factor; a switch back to sparse must drop
+  // it and factor on the sparse path, not reuse it.
+  telemetry::Counter &Factorizations =
+      telemetry::Registry::global().counter("thermal.network.factorizations");
+  uint64_t FactorsBefore = Factorizations.value();
   Net.setSparseThreshold(1);
-  Net.setFactorCaching(false); // The uncached seed path is always dense.
-  EXPECT_FALSE(Net.solvesSparse());
-  EXPECT_FALSE(SolveCountsSparse());
+  EXPECT_TRUE(Net.solvesSparse());
+  EXPECT_TRUE(SolveCountsSparse());
+  EXPECT_EQ(Factorizations.value(), FactorsBefore + 1);
 }
 
 TEST(SparseEquivalenceTest, SparseFactorsUseLessMemoryThanDense) {

@@ -375,7 +375,6 @@ int cmdFleet(const ArgList &Args) {
   std::unique_ptr<audit::PhysicsAuditor> Auditor;
   if (AuditMode) {
     Auditor = std::make_unique<audit::PhysicsAuditor>(AuditBudgets);
-    Auditor->noteFactorCaching(Net.factorCachingEnabled());
     Auditor->noteSparseSolver(Net.solvesSparse());
     std::string TracePath = Args.getString("audit-trace", "");
     if (!TracePath.empty()) {
