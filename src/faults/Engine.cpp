@@ -406,13 +406,17 @@ Expected<ScenarioOutcome> runRackScenario(const Scenario &S,
 Expected<ScenarioOutcome> rcs::faults::runScenario(const Scenario &S,
                                                    uint64_t HazardStream) {
   telemetry::Registry &Telemetry = telemetry::Registry::global();
-  telemetry::ScopedTimer Timer(Telemetry, "faults.scenario.run");
+  static telemetry::Timer &RunTimer = Telemetry.timer("faults.scenario.run");
+  static telemetry::Counter &RunCount =
+      Telemetry.counter("faults.scenario.runs");
+  static telemetry::Counter &InjectionCount =
+      Telemetry.counter("faults.scenario.injections");
+  telemetry::ScopedTimer Timer(RunTimer);
   auto Out = S.RackLevel ? runRackScenario(S, HazardStream)
                          : runModuleScenario(S, HazardStream);
   if (Out) {
-    Telemetry.counter("faults.scenario.runs").add();
-    Telemetry.counter("faults.scenario.injections")
-        .add(static_cast<uint64_t>(Out->FaultsInjected));
+    RunCount.add();
+    InjectionCount.add(static_cast<uint64_t>(Out->FaultsInjected));
     if (Telemetry.tracingEnabled())
       Telemetry.emitEvent(
           "faults.scenario.done",

@@ -12,6 +12,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 using namespace rcs;
@@ -22,13 +23,28 @@ Expected<SweepReport> rcs::faults::runSweep(const Scenario &S,
   if (Config.NumReplicates < 1)
     return Expected<SweepReport>::error("sweep: need at least 1 replicate");
 
-  // Fail fast on scenarios that cannot run at all (bad design, missing
-  // module config) before spinning up the pool.
-  if (auto Probe = runScenario(S, 0); !Probe)
-    return Expected<SweepReport>(Probe.status());
-
+  // Every metric is resolved once per process, so no replicate looks a
+  // name up under the registry mutex.
   telemetry::Registry &Telemetry = telemetry::Registry::global();
-  telemetry::Span SweepSpan(Telemetry, "faults.sweep.run");
+  static telemetry::Timer &SweepTimer = Telemetry.timer("faults.sweep.run");
+  static telemetry::Timer &ReplicateTimer =
+      Telemetry.timer("faults.sweep.replicate");
+  static telemetry::Gauge &DoneGauge =
+      Telemetry.gauge("faults.sweep.progress.replicates_done");
+  static telemetry::Gauge &EtaGauge =
+      Telemetry.gauge("faults.sweep.progress.eta_s");
+  static telemetry::Gauge &AvailabilityGauge =
+      Telemetry.gauge("faults.sweep.progress.availability_estimate");
+  static telemetry::Counter &ReplicateCount =
+      Telemetry.counter("faults.sweep.replicates");
+  static telemetry::Counter &CriticalCount =
+      Telemetry.counter("faults.sweep.criticals");
+  static telemetry::Counter &BreachCount =
+      Telemetry.counter("faults.sweep.audit_breaches");
+  static telemetry::Histogram &JunctionHistogram =
+      Telemetry.histogram("faults.sweep.max_junction_C");
+
+  telemetry::Span SweepSpan(SweepTimer);
   SweepSpan.attr("replicates", static_cast<long long>(Config.NumReplicates));
   SweepSpan.attr("threads", static_cast<long long>(Config.NumThreads));
   const telemetry::SpanContext SweepCtx = SweepSpan.context();
@@ -77,11 +93,9 @@ Expected<SweepReport> rcs::faults::runSweep(const Scenario &S,
             Progress.AvailabilitySum / Progress.Completed;
       }
       Snapshot.Criticals = Progress.Criticals;
-      Telemetry.gauge("faults.sweep.progress.replicates_done")
-          .set(Snapshot.Completed);
-      Telemetry.gauge("faults.sweep.progress.eta_s").set(Snapshot.EtaS);
-      Telemetry.gauge("faults.sweep.progress.availability_estimate")
-          .set(Snapshot.MeanAvailabilityFraction);
+      DoneGauge.set(Snapshot.Completed);
+      EtaGauge.set(Snapshot.EtaS);
+      AvailabilityGauge.set(Snapshot.MeanAvailabilityFraction);
       // Invoke under the lock so callbacks observe monotone Completed.
       if (Config.OnProgress)
         Config.OnProgress(Snapshot);
@@ -96,18 +110,30 @@ Expected<SweepReport> rcs::faults::runSweep(const Scenario &S,
     ScenarioOutcome Outcome;
   };
   std::vector<Slot> Slots(static_cast<size_t>(Config.NumReplicates));
+  // Replicate 0 is also the check that the scenario can run at all (a bad
+  // design, a missing module config): it runs in the pool like the rest,
+  // and if it fails the sweep returns its status. Replicates claimed
+  // after that failure skip their run.
+  Status FirstStatus = Status::ok(); // Written only by replicate 0.
+  std::atomic<bool> FirstFailed{false};
   parallelFor(Config.NumThreads,
               static_cast<size_t>(Config.NumReplicates),
               [&](size_t Replicate) {
+                if (FirstFailed.load(std::memory_order_relaxed))
+                  return;
                 // Parent the replicate span to the sweep root even when
                 // this closure runs on a pool thread.
                 telemetry::ScopedSpanParent Adopt(SweepCtx);
-                telemetry::Span ReplicateSpan(Telemetry,
-                                              "faults.sweep.replicate");
+                telemetry::Span ReplicateSpan(ReplicateTimer);
                 ReplicateSpan.attr("replicate",
                                    static_cast<long long>(Replicate));
                 auto Out = runScenario(S, Replicate);
                 ReplicateSpan.attr("ok", static_cast<bool>(Out));
+                if (!Out && Replicate == 0) {
+                  FirstStatus = Out.status();
+                  FirstFailed.store(true, std::memory_order_relaxed);
+                  return;
+                }
                 if (Out) {
                   ReplicateSpan.attr("max_junction_C", Out->MaxJunctionC);
                   Slots[Replicate].Ok = true;
@@ -117,6 +143,8 @@ Expected<SweepReport> rcs::faults::runSweep(const Scenario &S,
                     Slots[Replicate].Ok ? &Slots[Replicate].Outcome : nullptr,
                     /*Final=*/false);
               });
+  if (!FirstStatus)
+    return Expected<SweepReport>(FirstStatus);
   NoteReplicateDone(nullptr, /*Final=*/true);
 
   SweepReport Report;
@@ -184,14 +212,10 @@ Expected<SweepReport> rcs::faults::runSweep(const Scenario &S,
   if (Criticals > 0)
     Report.MttfEstimateHours = OperatingHours / Criticals;
 
-  Telemetry.counter("faults.sweep.replicates")
-      .add(static_cast<uint64_t>(Succeeded));
-  Telemetry.counter("faults.sweep.criticals")
-      .add(static_cast<uint64_t>(Criticals));
-  Telemetry.counter("faults.sweep.audit_breaches")
-      .add(static_cast<uint64_t>(Report.AuditBudgetBreaches));
+  ReplicateCount.add(static_cast<uint64_t>(Succeeded));
+  CriticalCount.add(static_cast<uint64_t>(Criticals));
+  BreachCount.add(static_cast<uint64_t>(Report.AuditBudgetBreaches));
   for (const ReplicateSummary &Summary : Report.Replicates)
-    Telemetry.histogram("faults.sweep.max_junction_C")
-        .record(Summary.MaxJunctionC);
+    JunctionHistogram.record(Summary.MaxJunctionC);
   return Report;
 }

@@ -25,7 +25,9 @@ rcs::hydraulics::trimBalancingValves(RackHydraulics &Rack,
       Telemetry.counter("hydraulics.balancing.runs");
   static telemetry::Counter &TrimIterations =
       Telemetry.counter("hydraulics.balancing.iterations");
-  telemetry::ScopedTimer Timer(Telemetry, "hydraulics.balancing.trim");
+  static telemetry::Timer &TrimTimer =
+      Telemetry.timer("hydraulics.balancing.trim");
+  telemetry::ScopedTimer Timer(TrimTimer);
   RunCount.add();
 
   TrimResult Result;

@@ -170,7 +170,9 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
       Telemetry.counter("hydraulics.newton.analytic_fallbacks");
   static telemetry::Histogram &IterationHistogram =
       Telemetry.histogram("hydraulics.newton.iterations_per_solve");
-  telemetry::Span SolveSpan(Telemetry, "hydraulics.flow.solve");
+  static telemetry::Timer &SolveTimer =
+      Telemetry.timer("hydraulics.flow.solve");
+  telemetry::Span SolveSpan(SolveTimer);
   SolveCount.add();
 
   const size_t NumJ = PImpl->Junctions.size();
@@ -216,7 +218,9 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
   std::vector<double> LastFlows(NumE, 0.0);
 
   auto residual = [&](const std::vector<double> &X) {
-    telemetry::Span ResidualSpan(Telemetry, "hydraulics.newton.residual");
+    static telemetry::Timer &ResidualTimer =
+        Telemetry.timer("hydraulics.newton.residual");
+    telemetry::Span ResidualSpan(ResidualTimer);
     std::vector<double> P = pressuresFrom(X);
     std::vector<double> Q = edgeFlows(P);
     std::vector<double> NetIn(NumJ, 0.0);
@@ -240,7 +244,9 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
                               const std::vector<double> &Fx) {
     (void)X;
     (void)Fx;
-    telemetry::Span JacobianSpan(Telemetry, "hydraulics.jacobian.assembly");
+    static telemetry::Timer &JacobianTimer =
+        Telemetry.timer("hydraulics.jacobian.assembly");
+    telemetry::Span JacobianSpan(JacobianTimer);
     Matrix J(NumUnknowns, NumUnknowns);
     for (size_t E = 0; E != NumE; ++E) {
       const auto &Edge = PImpl->Edges[E];

@@ -206,7 +206,8 @@ size_t ScenarioService::drain(std::vector<std::string> &Out) {
   parallelFor(
       clampThreadCount(Config.NumThreads), Batch.size(), [&](size_t I) {
         telemetry::ScopedSpanParent Adopt(Parent);
-        telemetry::Span RequestSpan(Reg, "service.request");
+        static telemetry::Timer &RequestTimer = Reg.timer("service.request");
+        telemetry::Span RequestSpan(RequestTimer);
         const Pending &Item = Batch[I];
         RequestSpan.attr("id", Item.Request.Id);
         RequestSpan.attr("type", requestKindName(Item.Request.Kind));

@@ -30,7 +30,8 @@ rcs::sim::simulateAvailability(const AvailabilityConfig &Config) {
       Telemetry.counter("sim.montecarlo.trials");
   static telemetry::Counter &FailureCount =
       Telemetry.counter("sim.montecarlo.failures");
-  telemetry::ScopedTimer Timer(Telemetry, "sim.montecarlo.run");
+  static telemetry::Timer &RunTimer = Telemetry.timer("sim.montecarlo.run");
+  telemetry::ScopedTimer Timer(RunTimer);
 
   AvailabilityReport Report;
   Report.PerComponentFailuresPerYear.assign(Config.Components.size(), 0.0);

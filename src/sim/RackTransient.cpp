@@ -81,7 +81,9 @@ RackTransientSimulator::run(double DurationS) {
       Telemetry.counter("sim.rack_transient.protection_trips");
   static telemetry::Counter &DroppedEvents =
       Telemetry.counter("sim.rack_transient.dropped_events");
-  telemetry::Span RunSpan(Telemetry, "sim.rack_transient.run");
+  static telemetry::Timer &RunTimer =
+      Telemetry.timer("sim.rack_transient.run");
+  telemetry::Span RunSpan(RunTimer);
   RunSpan.attr("duration_s", DurationS);
   RunSpan.attr("dt_s", Config.TimeStepS);
   RunSpan.attr("modules", Rack.NumModules);
@@ -177,7 +179,9 @@ RackTransientSimulator::run(double DurationS) {
   for (double Time = 0.0; Time <= DurationS; Time += Config.TimeStepS) {
     // One causal span per step; the per-module physics span and each
     // module's thermal step nest under it.
-    telemetry::Span StepSpan(Telemetry, "sim.rack_transient.step");
+    static telemetry::Timer &StepTimer =
+        Telemetry.timer("sim.rack_transient.step");
+    telemetry::Span StepSpan(StepTimer);
     while (NextEvent < Events.size() && Events[NextEvent].TimeS <= Time) {
       const Event &E = Events[NextEvent];
       if (E.Kind == Event::Kind::ChillerCapacity)
@@ -239,8 +243,9 @@ RackTransientSimulator::run(double DurationS) {
       double GChipOil = 0.0;
       double GOilWater = 0.0;
       {
-        telemetry::Span PropertySpan(Telemetry,
-                                     "sim.rack_transient.properties");
+        static telemetry::Timer &PropertyTimer =
+            Telemetry.timer("sim.rack_transient.properties");
+        telemetry::Span PropertySpan(PropertyTimer);
         double SinkR = Sink.thermalResistanceKPerW(
             *Oil, OilTemp[I], ModuleVelocity, ChipTemp[I]);
         GChipOil = FpgasPerModule / (Spec.ThetaJcKPerW + TimR + SinkR);

@@ -105,7 +105,8 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
       Telemetry.counter("sim.transient.control_actions");
   static telemetry::Counter &DroppedEvents =
       Telemetry.counter("sim.transient.dropped_events");
-  telemetry::Span RunSpan(Telemetry, "sim.transient.run");
+  static telemetry::Timer &RunTimer = Telemetry.timer("sim.transient.run");
+  telemetry::Span RunSpan(RunTimer);
   RunSpan.attr("duration_s", DurationS);
   RunSpan.attr("dt_s", Config.TimeStepS);
   RunCount.add();
@@ -193,7 +194,9 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
   for (double Time = 0.0; Time <= DurationS; Time += Config.TimeStepS) {
     // One causal span per step: the thermal step and property spans below
     // nest under it, so a profile attributes the whole loop body.
-    telemetry::Span StepSpan(Telemetry, "sim.transient.step");
+    static telemetry::Timer &StepTimer =
+        Telemetry.timer("sim.transient.step");
+    telemetry::Span StepSpan(StepTimer);
     // Fire due events.
     while (NextEvent < Events.size() && Events[NextEvent].TimeS <= Time) {
       const Event &E = Events[NextEvent];
@@ -243,7 +246,9 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
     double GChipOil = 0.0;
     double GOilWater = 3.0; // W/K casing loss with the facility loop down.
     {
-      telemetry::Span PropertySpan(Telemetry, "sim.transient.properties");
+      static telemetry::Timer &PropertyTimer =
+          Telemetry.timer("sim.transient.properties");
+      telemetry::Span PropertySpan(PropertyTimer);
       double PerFpga = PowerModel.totalPowerW(Effective, ChipTemp);
       ChipHeat = NumFpgas * PerFpga;
       MiscHeat = Module.NumCcbs * Module.Board.MiscPowerW *
@@ -320,7 +325,9 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
     // Control loop: the controller consumes the debounced, hysteresis-
     // qualified alarm bank rather than raw threshold classifications.
     if (Time >= NextControlTime) {
-      telemetry::Span ControlSpan(Telemetry, "sim.transient.control");
+      static telemetry::Timer &ControlTimer =
+          Telemetry.timer("sim.transient.control");
+      telemetry::Span ControlSpan(ControlTimer);
       NextControlTime += Config.ControlPeriodS;
       double Readings[3] = {OilTemp, ChipTemp, Flow};
       if (SensorTransform)

@@ -35,7 +35,7 @@ struct Profiler::Impl {
   std::map<uint64_t, std::map<std::string, AggNode, std::less<>>> Pending
       RCS_GUARDED_BY(Mutex);
   /// Duration distribution per span name, for p50/p95/p99.
-  std::map<std::string, Histogram, std::less<>> ByName
+  std::map<std::string, Distribution, std::less<>> ByName
       RCS_GUARDED_BY(Mutex);
   bool SeenSpan RCS_GUARDED_BY(Mutex) = false;
   double FirstStartS RCS_GUARDED_BY(Mutex) = 0.0;
@@ -152,7 +152,7 @@ void Profiler::span(const SpanRecord &Rec) {
 namespace {
 
 ProfileNode toProfileNode(const std::string &Name, const AggNode &Node,
-                          const std::map<std::string, Histogram,
+                          const std::map<std::string, Distribution,
                                          std::less<>> &ByName) {
   ProfileNode Out;
   Out.Name = Name;

@@ -9,7 +9,7 @@
 /// to a Registry like any trace sink, alone or behind makeTeeSink) and
 /// collapses them into a call tree: nodes merge by span name per parent
 /// path, accumulating invocation counts, total and self wall time, and
-/// per-name p50/p95/p99 via Histogram::quantile. Numeric span attributes
+/// per-name p50/p95/p99 via Distribution::quantile. Numeric span attributes
 /// accumulate per node (sum + count), so "how many Newton iterations did
 /// this subtree burn" falls out of the same report.
 ///

@@ -9,19 +9,6 @@
 using namespace rcs;
 using namespace rcs::telemetry;
 
-Span::Span(Registry &Reg, std::string_view Name)
-    : Reg(Reg), Name(Name), Slot(Reg.spanStatsSlot(Name)),
-      StartS(Reg.nowSeconds()), Context(detail::openSpanContext(Parent)) {}
-
-Span::~Span() {
-  SpanRecord Rec;
-  Rec.StartS = StartS;
-  Rec.DurationS = Reg.nowSeconds() - StartS;
-  Rec.Name = Name;
-  Rec.Context = Context;
-  Rec.ParentThreadId = Parent.ThreadId;
-  Rec.Attrs = Attrs;
-  Rec.NumAttrs = NumAttrs;
-  detail::threadSpanContext() = Parent;
-  Reg.recordSpan(Slot, Rec);
-}
+Span::Span(Timer &T)
+    : T(T), StartS(T.Owner.nowSeconds()),
+      Context(detail::openSpanContext(Parent)) {}

@@ -21,10 +21,16 @@
 ///    and install it on the worker with ScopedSpanParent.
 ///
 /// Cost model matches the rest of the telemetry layer: with no sink
-/// attached a Span is two mutex-guarded aggregate updates and never
-/// allocates after the label's first use; attribute setters write into
-/// inline storage. Keys and string values are not copied and must outlive
-/// the span (string literals in practice).
+/// attached, a Span opened on a resolved Timer handle takes no registry
+/// lock and writes no state other threads share. Closing it folds the
+/// duration into the closing thread's stripe of that Timer under the
+/// stripe's lock, and it never allocates. The string-name constructors
+/// add one registry lookup under the registry mutex, so hot call sites
+/// resolve their Timer once (a static local). With a sink attached, the
+/// sink call runs under the registry mutex, so traced runs serialize
+/// there. Attribute setters write into inline storage. Keys and string
+/// values are not copied and must outlive the span (string literals in
+/// practice).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,9 +56,11 @@ public:
   /// hot paths attach a handful of scalars, not payloads).
   static constexpr size_t MaxAttrs = 8;
 
-  explicit Span(std::string_view Name) : Span(Registry::global(), Name) {}
-  Span(Registry &Reg, std::string_view Name);
-  ~Span();
+  explicit Span(Timer &T);
+  explicit Span(std::string_view Name)
+      : Span(Registry::global().timer(Name)) {}
+  Span(Registry &Reg, std::string_view Name) : Span(Reg.timer(Name)) {}
+  ~Span() { T.closeSpan(StartS, Context, Parent, Attrs, NumAttrs); }
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
@@ -89,9 +97,7 @@ private:
       Attrs[NumAttrs++] = F;
   }
 
-  Registry &Reg;
-  std::string_view Name;
-  SpanStats &Slot;
+  Timer &T;
   double StartS;
   SpanContext Parent;
   SpanContext Context;

@@ -17,10 +17,17 @@ using namespace rcs;
 using namespace rcs::telemetry;
 
 //===----------------------------------------------------------------------===//
-// Histogram
+// Counter, Distribution, Histogram, Timer
 //===----------------------------------------------------------------------===//
 
-int Histogram::bucketFor(double Sample) {
+uint64_t Counter::value() const {
+  uint64_t Total = 0;
+  for (const Stripe &S : Stripes)
+    Total += S.Value.load(std::memory_order_relaxed);
+  return Total;
+}
+
+int Distribution::bucketFor(double Sample) {
   double Magnitude = std::fabs(Sample);
   if (!(Magnitude > 1e-9)) // Also catches NaN.
     return 0;
@@ -28,63 +35,56 @@ int Histogram::bucketFor(double Sample) {
   return std::clamp(Exponent + 9, 0, NumBuckets - 1);
 }
 
-double Histogram::bucketLowerBound(int Bucket) {
+double Distribution::bucketLowerBound(int Bucket) {
   assert(Bucket >= 0 && Bucket < NumBuckets && "bucket out of range");
   return std::pow(10.0, Bucket - 9);
 }
 
-void Histogram::record(double Sample) {
-  LockGuard Lock(Mutex);
+void Distribution::record(double Sample) {
   if (Count == 0) {
     Min = Sample;
     Max = Sample;
-    MinMagnitude = std::fabs(Sample);
+    MinAbsSample = std::fabs(Sample);
   } else {
     Min = std::min(Min, Sample);
     Max = std::max(Max, Sample);
-    MinMagnitude = std::min(MinMagnitude, std::fabs(Sample));
+    MinAbsSample = std::min(MinAbsSample, std::fabs(Sample));
   }
   ++Count;
   Sum += Sample;
   ++Buckets[bucketFor(Sample)];
 }
 
-uint64_t Histogram::count() const {
-  LockGuard Lock(Mutex);
-  return Count;
+void Distribution::merge(const Distribution &Other) {
+  if (Other.Count == 0)
+    return;
+  if (Count == 0) {
+    *this = Other;
+    return;
+  }
+  Min = std::min(Min, Other.Min);
+  Max = std::max(Max, Other.Max);
+  MinAbsSample = std::min(MinAbsSample, Other.MinAbsSample);
+  Count += Other.Count;
+  Sum += Other.Sum;
+  for (int B = 0; B != NumBuckets; ++B)
+    Buckets[B] += Other.Buckets[B];
 }
 
-double Histogram::sum() const {
-  LockGuard Lock(Mutex);
-  return Sum;
-}
-
-double Histogram::mean() const {
-  LockGuard Lock(Mutex);
+double Distribution::mean() const {
   return Count == 0 ? 0.0 : Sum / static_cast<double>(Count);
 }
 
-double Histogram::minValue() const {
-  LockGuard Lock(Mutex);
-  return Count == 0 ? 0.0 : Min;
-}
-
-double Histogram::maxValue() const {
-  LockGuard Lock(Mutex);
-  return Count == 0 ? 0.0 : Max;
-}
-
-uint64_t Histogram::bucketCount(int Bucket) const {
+uint64_t Distribution::bucketCount(int Bucket) const {
   assert(Bucket >= 0 && Bucket < NumBuckets && "bucket out of range");
-  LockGuard Lock(Mutex);
   return Buckets[Bucket];
 }
 
-double Histogram::quantileLocked(double Q) const {
+double Distribution::quantile(double Q) const {
   if (Count == 0)
     return 0.0;
   Q = std::clamp(Q, 0.0, 1.0);
-  double MaxMagnitude = std::max(std::fabs(Min), std::fabs(Max));
+  double MaxAbsSample = std::max(std::fabs(Min), std::fabs(Max));
 
   // Rank of the requested quantile among the recorded magnitudes, then
   // the bucket holding it.
@@ -105,16 +105,99 @@ double Histogram::quantileLocked(double Q) const {
       double Lower = bucketLowerBound(B);
       double Estimate = B == 0 ? Within * Lower
                                : Lower * std::pow(10.0, Within);
-      return std::clamp(Estimate, MinMagnitude, MaxMagnitude);
+      return std::clamp(Estimate, MinAbsSample, MaxAbsSample);
     }
     Cumulative = Next;
   }
-  return MaxMagnitude;
+  return MaxAbsSample;
 }
 
-double Histogram::quantile(double Q) const {
-  LockGuard Lock(Mutex);
-  return quantileLocked(Q);
+HistogramSnapshot Distribution::snapshot() const {
+  HistogramSnapshot S;
+  S.Count = Count;
+  S.Sum = Sum;
+  S.Min = minValue();
+  S.Max = maxValue();
+  S.Mean = mean();
+  S.P50 = p50();
+  S.P95 = p95();
+  S.P99 = p99();
+  return S;
+}
+
+void Histogram::record(double Sample) {
+  Stripe &S = Stripes[detail::threadStripe()];
+  LockGuard Lock(S.Mutex);
+  S.Samples.record(Sample);
+}
+
+Distribution Histogram::merged() const {
+  Distribution All;
+  for (const Stripe &S : Stripes) {
+    LockGuard Lock(S.Mutex);
+    All.merge(S.Samples);
+  }
+  return All;
+}
+
+void Histogram::reset() {
+  for (Stripe &S : Stripes) {
+    LockGuard Lock(S.Mutex);
+    S.Samples = Distribution();
+  }
+}
+
+namespace {
+
+/// Folds \p From into \p Into, as if its spans had been recorded there.
+void foldStats(SpanStats &Into, const SpanStats &From) {
+  if (From.Count == 0)
+    return;
+  Into.MinS = Into.Count == 0 ? From.MinS : std::min(Into.MinS, From.MinS);
+  Into.MaxS = Into.Count == 0 ? From.MaxS : std::max(Into.MaxS, From.MaxS);
+  Into.Count += From.Count;
+  Into.TotalS += From.TotalS;
+}
+
+} // namespace
+
+SpanStats Timer::stats() const {
+  SpanStats All;
+  for (const Stripe &S : Stripes) {
+    LockGuard Lock(S.Mutex);
+    foldStats(All, S.Stats);
+  }
+  return All;
+}
+
+void Timer::closeSpan(double StartS, const SpanContext &Context,
+                      const SpanContext &Parent, const EventField *Attrs,
+                      size_t NumAttrs) {
+  double DurationS = Owner.nowSeconds() - StartS;
+  detail::threadSpanContext() = Parent;
+  {
+    Stripe &S = Stripes[detail::threadStripe()];
+    LockGuard Lock(S.Mutex);
+    foldStats(S.Stats, SpanStats{1, DurationS, DurationS, DurationS});
+  }
+  if (!Owner.tracingEnabled())
+    return;
+  SpanRecord Rec;
+  Rec.StartS = StartS;
+  Rec.DurationS = DurationS;
+  Rec.Name = Label;
+  Rec.Context = Context;
+  Rec.ParentThreadId = Parent.ThreadId;
+  Rec.Attrs = Attrs;
+  Rec.NumAttrs = NumAttrs;
+  Owner.emitSpan(Rec);
+}
+
+void Timer::reset() {
+  for (Stripe &S : Stripes) {
+    LockGuard Lock(S.Mutex);
+    S.Stats = SpanStats();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -134,43 +217,50 @@ Registry &Registry::global() {
   return Instance;
 }
 
+namespace {
+
+/// Finds \p Name in \p Metrics, or constructs its metric from \p Args;
+/// the bool is true when it was constructed.
+template <typename MapT, typename... ArgTs>
+std::pair<typename MapT::iterator, bool>
+findOrEmplace(MapT &Metrics, std::string_view Name, ArgTs &...Args) {
+  auto It = Metrics.find(Name);
+  if (It != Metrics.end())
+    return {It, false};
+  return Metrics.emplace(std::piecewise_construct,
+                         std::forward_as_tuple(Name),
+                         std::forward_as_tuple(Args...));
+}
+
+} // namespace
+
 Counter &Registry::counter(std::string_view Name) {
   LockGuard Lock(Mutex);
-  auto It = Counters.find(Name);
-  if (It == Counters.end())
-    It = Counters
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(Name), std::forward_as_tuple())
-             .first;
-  return It->second;
+  return findOrEmplace(Counters, Name).first->second;
 }
 
 Gauge &Registry::gauge(std::string_view Name) {
   LockGuard Lock(Mutex);
-  auto It = Gauges.find(Name);
-  if (It == Gauges.end())
-    It = Gauges
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(Name), std::forward_as_tuple())
-             .first;
-  return It->second;
+  return findOrEmplace(Gauges, Name).first->second;
 }
 
 Histogram &Registry::histogram(std::string_view Name) {
   LockGuard Lock(Mutex);
-  auto It = Histograms.find(Name);
-  if (It == Histograms.end())
-    It = Histograms
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(Name), std::forward_as_tuple())
-             .first;
+  return findOrEmplace(Histograms, Name).first->second;
+}
+
+Timer &Registry::timer(std::string_view Label) {
+  LockGuard Lock(Mutex);
+  auto [It, Inserted] = findOrEmplace(Timers, Label, *this);
+  if (Inserted)
+    It->second.Label = It->first;
   return It->second;
 }
 
 SpanStats Registry::timerStats(std::string_view Label) const {
   LockGuard Lock(Mutex);
-  auto It = Spans.find(Label);
-  return It == Spans.end() ? SpanStats() : It->second;
+  auto It = Timers.find(Label);
+  return It == Timers.end() ? SpanStats() : It->second.stats();
 }
 
 double Registry::nowSeconds() const {
@@ -206,25 +296,8 @@ void Registry::emitEvent(std::string_view Name,
     Sink->instant(TimeS, Name, Fields.begin(), Fields.size());
 }
 
-SpanStats &Registry::spanStatsSlot(std::string_view Label) {
+void Registry::emitSpan(const SpanRecord &Rec) {
   LockGuard Lock(Mutex);
-  auto It = Spans.find(Label);
-  if (It == Spans.end())
-    It = Spans.emplace(std::string(Label), SpanStats()).first;
-  return It->second;
-}
-
-void Registry::recordSpan(SpanStats &Slot, const SpanRecord &Rec) {
-  LockGuard Lock(Mutex);
-  if (Slot.Count == 0) {
-    Slot.MinS = Rec.DurationS;
-    Slot.MaxS = Rec.DurationS;
-  } else {
-    Slot.MinS = std::min(Slot.MinS, Rec.DurationS);
-    Slot.MaxS = std::max(Slot.MaxS, Rec.DurationS);
-  }
-  ++Slot.Count;
-  Slot.TotalS += Rec.DurationS;
   if (Sink)
     Sink->span(Rec);
 }
@@ -239,68 +312,53 @@ MetricsSnapshot Registry::snapshotMetrics() const {
   for (const auto &[Name, G] : Gauges)
     Snapshot.Gauges.emplace_back(Name, G.value());
   Snapshot.Histograms.reserve(Histograms.size());
-  for (const auto &[Name, H] : Histograms) {
-    LockGuard HLock(H.Mutex);
-    HistogramSnapshot S;
-    S.Count = H.Count;
-    S.Sum = H.Sum;
-    S.Min = H.Count ? H.Min : 0.0;
-    S.Max = H.Count ? H.Max : 0.0;
-    S.Mean = H.Count ? H.Sum / static_cast<double>(H.Count) : 0.0;
-    S.P50 = H.quantileLocked(0.50);
-    S.P95 = H.quantileLocked(0.95);
-    S.P99 = H.quantileLocked(0.99);
-    Snapshot.Histograms.emplace_back(Name, S);
-  }
-  Snapshot.Timers.reserve(Spans.size());
-  for (const auto &[Label, S] : Spans)
-    Snapshot.Timers.emplace_back(Label, S);
+  for (const auto &[Name, H] : Histograms)
+    Snapshot.Histograms.emplace_back(Name, H.merged().snapshot());
+  Snapshot.Timers.reserve(Timers.size());
+  for (const auto &[Label, T] : Timers)
+    Snapshot.Timers.emplace_back(Label, T.stats());
   return Snapshot;
 }
 
 std::string Registry::metricsJson() const {
-  LockGuard Lock(Mutex);
+  MetricsSnapshot Snapshot = snapshotMetrics();
   std::string Out = "{\n  \"counters\": {";
   bool First = true;
-  for (const auto &[Name, C] : Counters) {
+  for (const auto &[Name, Value] : Snapshot.Counters) {
     Out += First ? "\n" : ",\n";
     First = false;
-    Out += "    " + jsonQuote(Name) + ": " +
-           std::to_string(C.value());
+    Out += "    " + jsonQuote(Name) + ": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
 
   Out += "  \"gauges\": {";
   First = true;
-  for (const auto &[Name, G] : Gauges) {
+  for (const auto &[Name, Value] : Snapshot.Gauges) {
     Out += First ? "\n" : ",\n";
     First = false;
-    Out += "    " + jsonQuote(Name) + ": " + jsonNumber(G.value());
+    Out += "    " + jsonQuote(Name) + ": " + jsonNumber(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
 
   Out += "  \"histograms\": {";
   First = true;
-  for (const auto &[Name, H] : Histograms) {
+  for (const auto &[Name, H] : Snapshot.Histograms) {
     Out += First ? "\n" : ",\n";
     First = false;
-    LockGuard HLock(H.Mutex);
     Out += "    " + jsonQuote(Name) + ": {\"count\": " +
            std::to_string(H.Count) + ", \"sum\": " + jsonNumber(H.Sum) +
-           ", \"min\": " + jsonNumber(H.Count ? H.Min : 0.0) +
-           ", \"max\": " + jsonNumber(H.Count ? H.Max : 0.0) +
-           ", \"mean\": " +
-           jsonNumber(H.Count ? H.Sum / static_cast<double>(H.Count)
-                              : 0.0) +
-           ", \"p50\": " + jsonNumber(H.quantileLocked(0.50)) +
-           ", \"p95\": " + jsonNumber(H.quantileLocked(0.95)) +
-           ", \"p99\": " + jsonNumber(H.quantileLocked(0.99)) + "}";
+           ", \"min\": " + jsonNumber(H.Min) +
+           ", \"max\": " + jsonNumber(H.Max) +
+           ", \"mean\": " + jsonNumber(H.Mean) +
+           ", \"p50\": " + jsonNumber(H.P50) +
+           ", \"p95\": " + jsonNumber(H.P95) +
+           ", \"p99\": " + jsonNumber(H.P99) + "}";
   }
   Out += First ? "},\n" : "\n  },\n";
 
   Out += "  \"timers\": {";
   First = true;
-  for (const auto &[Label, S] : Spans) {
+  for (const auto &[Label, S] : Snapshot.Timers) {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    " + jsonQuote(Label) + ": {\"count\": " +
@@ -327,17 +385,14 @@ Status Registry::writeMetricsFile(const std::string &Path) const {
 void Registry::resetMetrics() {
   LockGuard Lock(Mutex);
   for (auto &[Name, C] : Counters)
-    C.Value.store(0, std::memory_order_relaxed);
+    for (Counter::Stripe &S : C.Stripes)
+      S.Value.store(0, std::memory_order_relaxed);
   for (auto &[Name, G] : Gauges)
     G.Value.store(0.0, std::memory_order_relaxed);
-  for (auto &[Name, H] : Histograms) {
-    LockGuard HLock(H.Mutex);
-    H.Count = 0;
-    H.Sum = H.Min = H.Max = H.MinMagnitude = 0.0;
-    std::fill(std::begin(H.Buckets), std::end(H.Buckets), 0);
-  }
-  for (auto &[Label, S] : Spans)
-    S = SpanStats();
+  for (auto &[Name, H] : Histograms)
+    H.reset();
+  for (auto &[Label, T] : Timers)
+    T.reset();
 }
 
 //===----------------------------------------------------------------------===//
@@ -350,8 +405,17 @@ SpanContext &detail::threadSpanContext() {
 }
 
 uint64_t detail::nextSpanId() {
-  static std::atomic<uint64_t> NextId{1};
-  return NextId.fetch_add(1, std::memory_order_relaxed);
+  // Each thread draws ids from its own block and touches the shared
+  // cursor once per block.
+  constexpr uint64_t BlockSize = 4096;
+  static std::atomic<uint64_t> NextBlock{1};
+  thread_local uint64_t Next = 0;
+  thread_local uint64_t End = 0;
+  if (Next == End) {
+    Next = NextBlock.fetch_add(BlockSize, std::memory_order_relaxed);
+    End = Next + BlockSize;
+  }
+  return Next++;
 }
 
 uint32_t detail::currentThreadId() {
@@ -374,20 +438,6 @@ SpanContext detail::openSpanContext(SpanContext &Parent) {
   return Mine;
 }
 
-ScopedTimer::ScopedTimer(Registry &Reg, std::string_view Label)
-    : Reg(Reg), Label(Label), Slot(Reg.spanStatsSlot(Label)),
-      StartS(Reg.nowSeconds()) {
-  (void)detail::openSpanContext(Parent);
-}
-
-ScopedTimer::~ScopedTimer() {
-  SpanContext &Ctx = detail::threadSpanContext();
-  SpanRecord Rec;
-  Rec.StartS = StartS;
-  Rec.DurationS = Reg.nowSeconds() - StartS;
-  Rec.Name = Label;
-  Rec.Context = Ctx;
-  Rec.ParentThreadId = Parent.ThreadId;
-  Ctx = Parent;
-  Reg.recordSpan(Slot, Rec);
-}
+ScopedTimer::ScopedTimer(Timer &T)
+    : T(T), StartS(T.Owner.nowSeconds()),
+      Context(detail::openSpanContext(Parent)) {}

@@ -6,20 +6,30 @@
 ///
 /// \file
 /// Low-overhead instrumentation for the solvers and simulators: a
-/// process-wide Registry of named counters, gauges and histograms; RAII
-/// ScopedTimer spans that nest and aggregate wall time per label; and a
-/// pluggable structured event sink (JSONL or Chrome trace_event JSON).
+/// process-wide Registry of named counters, gauges, histograms and
+/// timers; RAII ScopedTimer spans that nest and aggregate wall time per
+/// label; and a pluggable structured event sink (JSONL or Chrome
+/// trace_event JSON).
 ///
 /// Design constraints, matching the rest of skatsim:
 ///  - exception-free: fallible operations return Status/Expected;
-///  - near-zero cost when no sink is attached: counter bumps are relaxed
-///    atomic adds, event emission is one predictable branch, and the hot
-///    paths allocate nothing (metric lookups are heterogeneous, so a
-///    string_view never materializes a std::string after first use);
-///  - references returned by Registry::counter()/gauge()/histogram() stay
-///    valid for the registry's lifetime (node-based storage, and
-///    resetMetrics() zeroes in place instead of erasing), so call sites
-///    may cache them in static locals.
+///  - near-zero cost when no sink is attached. Counters, histograms and
+///    timers spread their writes over detail::NumStripes cache-line
+///    stripes, one chosen by the writing thread's id, and merge them when
+///    read. So a counter bump is a relaxed atomic add on the thread's own
+///    stripe, and a histogram sample or a finished span takes only that
+///    stripe's lock. Neither takes the registry mutex, and the hot paths
+///    allocate nothing;
+///  - the registry mutex guards the name maps and the sink. It is taken
+///    when a name is looked up, on reads (snapshots, timerStats, JSON,
+///    reset), and to call an attached sink, so traced runs still
+///    serialize at the sink. Lock order: Registry::Mutex before any
+///    stripe lock; no code holds two stripe locks at once;
+///  - references returned by Registry::counter()/gauge()/histogram()/
+///    timer() stay valid for the registry's lifetime (node-based storage,
+///    and resetMetrics() zeroes in place instead of erasing), so call
+///    sites resolve a name once into a static local and then update it
+///    with no lookup.
 ///
 /// Metric names follow `subsystem.noun.unit` (see docs/OBSERVABILITY.md).
 ///
@@ -33,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -45,7 +56,29 @@
 namespace rcs {
 namespace telemetry {
 
-/// A monotonically increasing event count.
+class Registry;
+
+namespace detail {
+/// Stripes per counter, histogram and timer. Fixed, so a metric's memory
+/// does not grow with the number of threads that ever wrote it.
+inline constexpr unsigned NumStripes = 16;
+/// Stripe alignment: one stripe per cache line (or lines), so threads on
+/// different stripes never share one.
+inline constexpr size_t StripeAlign = 64;
+/// Small sequential id of the calling thread (1-based, stable for the
+/// thread's lifetime).
+uint32_t currentThreadId();
+/// The stripe the calling thread writes: its sequential id modulo
+/// NumStripes, so up to NumStripes consecutively started threads never
+/// share one.
+inline unsigned threadStripe() {
+  thread_local const unsigned Stripe = currentThreadId() % NumStripes;
+  return Stripe;
+}
+} // namespace detail
+
+/// A monotonically increasing event count. Each thread adds to its own
+/// stripe; value() sums them.
 class Counter {
 public:
   Counter() = default;
@@ -53,13 +86,18 @@ public:
   Counter &operator=(const Counter &) = delete;
 
   void add(uint64_t Delta = 1) {
-    Value.fetch_add(Delta, std::memory_order_relaxed);
+    Stripes[detail::threadStripe()].Value.fetch_add(
+        Delta, std::memory_order_relaxed);
   }
-  uint64_t value() const { return Value.load(std::memory_order_relaxed); }
+  /// The sum over every stripe.
+  uint64_t value() const;
 
 private:
   friend class Registry;
-  std::atomic<uint64_t> Value{0};
+  struct alignas(detail::StripeAlign) Stripe {
+    std::atomic<uint64_t> Value{0};
+  };
+  Stripe Stripes[detail::NumStripes];
 };
 
 /// A last-value metric (set wins; no aggregation).
@@ -77,26 +115,38 @@ private:
   std::atomic<double> Value{0.0};
 };
 
+/// Point-in-time summary of one histogram, percentiles included.
+struct HistogramSnapshot {
+  uint64_t Count = 0;
+  double Sum = 0.0;
+  double Min = 0.0;
+  double Max = 0.0;
+  double Mean = 0.0;
+  double P50 = 0.0;
+  double P95 = 0.0;
+  double P99 = 0.0;
+};
+
 /// A sample distribution: count/sum/min/max plus decade magnitude buckets
 /// (coarse, but enough to see whether residuals cluster at 1e-12 or 1e-3).
-class Histogram {
+/// A plain value with no lock of its own: Histogram keeps one per stripe
+/// and the Profiler keeps them under its mutex.
+class Distribution {
 public:
   /// Bucket B spans [10^(B-9), 10^(B-8)); samples at or below 1e-9 in
   /// magnitude (including zero and negatives) clamp into bucket 0, samples
   /// at or above 1e8 into the last bucket.
   static constexpr int NumBuckets = 18;
 
-  Histogram() = default;
-  Histogram(const Histogram &) = delete;
-  Histogram &operator=(const Histogram &) = delete;
-
   void record(double Sample);
+  /// Folds \p Other in, as if its samples had been recorded here.
+  void merge(const Distribution &Other);
 
-  uint64_t count() const;
-  double sum() const;
+  uint64_t count() const { return Count; }
+  double sum() const { return Sum; }
   double mean() const; ///< Zero when empty.
-  double minValue() const; ///< Zero when empty.
-  double maxValue() const; ///< Zero when empty.
+  double minValue() const { return Count == 0 ? 0.0 : Min; }
+  double maxValue() const { return Count == 0 ? 0.0 : Max; }
   uint64_t bucketCount(int Bucket) const;
 
   /// Estimated value at quantile \p Q (in [0, 1]) of the recorded
@@ -112,41 +162,67 @@ public:
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
+  /// Count, sum, min, max, mean and the three percentiles at once.
+  HistogramSnapshot snapshot() const;
+
   /// The bucket \p Sample falls into.
   static int bucketFor(double Sample);
   /// Inclusive lower magnitude bound of \p Bucket.
   static double bucketLowerBound(int Bucket);
 
 private:
-  friend class Registry;
-  double quantileLocked(double Q) const RCS_REQUIRES(Mutex);
-  mutable rcs::Mutex Mutex;
-  uint64_t Count RCS_GUARDED_BY(Mutex) = 0;
-  double Sum RCS_GUARDED_BY(Mutex) = 0.0;
-  double Min RCS_GUARDED_BY(Mutex) = 0.0;
-  double Max RCS_GUARDED_BY(Mutex) = 0.0;
-  double MinMagnitude RCS_GUARDED_BY(Mutex) = 0.0; ///< Smallest |sample|.
-  uint64_t Buckets[NumBuckets] RCS_GUARDED_BY(Mutex) = {};
+  uint64_t Count = 0;
+  double Sum = 0.0;
+  double Min = 0.0;
+  double Max = 0.0;
+  double MinAbsSample = 0.0; ///< Smallest |sample|.
+  uint64_t Buckets[NumBuckets] = {};
 };
 
-/// Aggregated wall time of all ScopedTimer spans sharing one label.
+/// A thread-safe Distribution: each thread records into its own stripe
+/// under that stripe's lock, and every reader merges the stripes.
+class Histogram {
+public:
+  Histogram() = default;
+  Histogram(const Histogram &) = delete;
+  Histogram &operator=(const Histogram &) = delete;
+
+  void record(double Sample);
+
+  /// Every stripe merged into one distribution; the readers below read
+  /// this merge.
+  Distribution merged() const;
+
+  uint64_t count() const { return merged().count(); }
+  double sum() const { return merged().sum(); }
+  double mean() const { return merged().mean(); }
+  double minValue() const { return merged().minValue(); }
+  double maxValue() const { return merged().maxValue(); }
+  uint64_t bucketCount(int Bucket) const {
+    return merged().bucketCount(Bucket);
+  }
+  /// See Distribution::quantile.
+  double quantile(double Q) const { return merged().quantile(Q); }
+  double p50() const { return quantile(0.50); }
+  double p95() const { return quantile(0.95); }
+  double p99() const { return quantile(0.99); }
+
+private:
+  friend class Registry;
+  void reset();
+  struct alignas(detail::StripeAlign) Stripe {
+    mutable rcs::Mutex Mutex;
+    Distribution Samples RCS_GUARDED_BY(Mutex);
+  };
+  Stripe Stripes[detail::NumStripes];
+};
+
+/// Aggregated wall time of all spans sharing one label.
 struct SpanStats {
   uint64_t Count = 0;
   double TotalS = 0.0;
   double MinS = 0.0;
   double MaxS = 0.0;
-};
-
-/// Point-in-time summary of one histogram, percentiles included.
-struct HistogramSnapshot {
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-  double Mean = 0.0;
-  double P50 = 0.0;
-  double P95 = 0.0;
-  double P99 = 0.0;
 };
 
 /// A consistent copy of every metric in a registry, for exposition
@@ -265,6 +341,46 @@ makeOtlpSpanSink(const std::string &Path);
 std::unique_ptr<EventSink> makeTeeSink(std::unique_ptr<EventSink> First,
                                        std::unique_ptr<EventSink> Second);
 
+/// The wall-time aggregate of every Span and ScopedTimer sharing one
+/// label. A finished span folds into the closing thread's stripe under
+/// that stripe's lock; stats() merges the stripes. Hot call sites resolve
+/// the label once and open their spans on the handle:
+///
+///   static telemetry::Timer &StepTimer =
+///       Telemetry.timer("sim.transient.step");
+///   telemetry::Span StepSpan(StepTimer);
+class Timer {
+public:
+  explicit Timer(Registry &Owner) : Owner(Owner) {}
+  Timer(const Timer &) = delete;
+  Timer &operator=(const Timer &) = delete;
+
+  /// The aggregate over every stripe.
+  SpanStats stats() const;
+
+private:
+  friend class Registry;
+  friend class ScopedTimer;
+  friend class Span;
+
+  /// Closes one span opened at \p StartS as \p Context: restores
+  /// \p Parent as the thread's current context, folds the duration into
+  /// the calling thread's stripe and, when a sink is attached, hands it
+  /// the record.
+  void closeSpan(double StartS, const SpanContext &Context,
+                 const SpanContext &Parent, const EventField *Attrs,
+                 size_t NumAttrs);
+  void reset();
+
+  Registry &Owner;
+  std::string_view Label; ///< Views the owner's key for this timer.
+  struct alignas(detail::StripeAlign) Stripe {
+    mutable rcs::Mutex Mutex;
+    SpanStats Stats RCS_GUARDED_BY(Mutex);
+  };
+  Stripe Stripes[detail::NumStripes];
+};
+
 /// A named-metric registry plus the optional event sink. Thread-safe.
 ///
 /// Use Registry::global() for the process-wide instance the library's
@@ -279,11 +395,12 @@ public:
   /// The process-wide registry.
   static Registry &global();
 
-  /// Finds or creates the named metric. The returned reference stays
-  /// valid for the registry's lifetime.
+  /// Finds or creates the named metric under the registry mutex. The
+  /// returned reference stays valid for the registry's lifetime.
   Counter &counter(std::string_view Name);
   Gauge &gauge(std::string_view Name);
   Histogram &histogram(std::string_view Name);
+  Timer &timer(std::string_view Label);
 
   /// Snapshot of one timer label's aggregate (zeroes when unknown).
   SpanStats timerStats(std::string_view Label) const;
@@ -327,25 +444,20 @@ public:
   void resetMetrics();
 
 private:
-  friend class ScopedTimer;
-  friend class Span;
+  friend class Timer;
 
-  /// Finds or creates the span aggregate for \p Label.
-  SpanStats &spanStatsSlot(std::string_view Label);
-  /// Folds one finished span into its aggregate and forwards it to the
-  /// sink when tracing.
-  void recordSpan(SpanStats &Slot, const SpanRecord &Rec);
+  /// Hands \p Rec to the attached sink, if any, under the registry mutex.
+  void emitSpan(const SpanRecord &Rec);
 
-  // Lock order: Registry::Mutex before any Histogram::Mutex (snapshot
-  // and reset hold both); nothing ever locks them the other way.
+  // Lock order: Registry::Mutex before any stripe lock (snapshots, reset
+  // and timerStats hold both); nothing locks them the other way.
   mutable rcs::Mutex Mutex;
   std::map<std::string, Counter, std::less<>> Counters
       RCS_GUARDED_BY(Mutex);
   std::map<std::string, Gauge, std::less<>> Gauges RCS_GUARDED_BY(Mutex);
   std::map<std::string, Histogram, std::less<>> Histograms
       RCS_GUARDED_BY(Mutex);
-  std::map<std::string, SpanStats, std::less<>> Spans
-      RCS_GUARDED_BY(Mutex);
+  std::map<std::string, Timer, std::less<>> Timers RCS_GUARDED_BY(Mutex);
   std::unique_ptr<EventSink> Sink RCS_GUARDED_BY(Mutex);
   std::atomic<bool> TracingOn{false};
   std::chrono::steady_clock::time_point Epoch; ///< Immutable after init.
@@ -355,11 +467,9 @@ namespace detail {
 /// The calling thread's innermost open span context (mutable slot shared
 /// by ScopedTimer, Span and ScopedSpanParent).
 SpanContext &threadSpanContext();
-/// Process-unique span id (never zero).
+/// Process-unique span id (never zero), handed out from per-thread blocks
+/// so opening a span writes no state other threads share.
 uint64_t nextSpanId();
-/// Small sequential id of the calling thread (1-based, stable for the
-/// thread's lifetime).
-uint32_t currentThreadId();
 /// Opens a new span context nested under the thread's current one (which
 /// \p Parent receives) and installs it as current. The caller must
 /// restore \p Parent on scope exit.
@@ -374,29 +484,31 @@ inline SpanContext currentSpanContext() {
 }
 
 /// RAII wall-time span. Construction starts the clock; destruction folds
-/// the elapsed time into the registry's per-label aggregate and, when a
-/// sink is attached, emits a span event. Timers nest: each instance
-/// becomes the thread's current span context while open, so spans and
-/// timers parent under each other freely.
+/// the elapsed time into the label's Timer and, when a sink is attached,
+/// emits a span event. Timers nest: each instance becomes the thread's
+/// current span context while open, so spans and timers parent under
+/// each other freely.
 ///
-/// \p Label is not copied and must outlive the timer (string literals).
+/// The string-label constructors look the label up under the registry
+/// mutex on every construction; hot paths pass a Timer resolved once.
 /// For spans that carry structured attributes, use telemetry::Span
 /// (Span.h) instead.
 class ScopedTimer {
 public:
+  explicit ScopedTimer(Timer &T);
   explicit ScopedTimer(std::string_view Label)
-      : ScopedTimer(Registry::global(), Label) {}
-  ScopedTimer(Registry &Reg, std::string_view Label);
-  ~ScopedTimer();
+      : ScopedTimer(Registry::global().timer(Label)) {}
+  ScopedTimer(Registry &Reg, std::string_view Label)
+      : ScopedTimer(Reg.timer(Label)) {}
+  ~ScopedTimer() { T.closeSpan(StartS, Context, Parent, nullptr, 0); }
   ScopedTimer(const ScopedTimer &) = delete;
   ScopedTimer &operator=(const ScopedTimer &) = delete;
 
 private:
-  Registry &Reg;
-  std::string_view Label;
-  SpanStats &Slot;
+  Timer &T;
   double StartS;
   SpanContext Parent;
+  SpanContext Context;
 };
 
 } // namespace telemetry

@@ -290,7 +290,9 @@ Status ThermalNetwork::solveSystem(std::vector<double> &Temps, double DtS,
 Expected<std::vector<double>> ThermalNetwork::solveSteadyState() const {
   static telemetry::Counter &SolveCount =
       telemetry::Registry::global().counter("thermal.network.steady_solves");
-  telemetry::Span SolveSpan("thermal.network.steady_solve");
+  static telemetry::Timer &SolveTimer =
+      telemetry::Registry::global().timer("thermal.network.steady_solve");
+  telemetry::Span SolveSpan(SolveTimer);
   SolveCount.add();
   ensureSymbolic();
   SolveSpan.attr("unknowns", static_cast<long long>(Cache.NumUnknowns));
@@ -306,12 +308,15 @@ Status ThermalNetwork::stepTransient(std::vector<double> &Temps,
   assert(Temps.size() == Nodes.size() && "state size mismatch");
   assert(DtS > 0 && "time step must be positive");
   // stepTransient sits in every simulator's inner loop: one relaxed
-  // atomic add plus one causal span (two mutex-guarded aggregate updates
-  // when no sink is attached; the bench_p1_solvers
+  // atomic add on this thread's counter stripe plus one causal span on a
+  // resolved Timer (with no sink attached, one uncontended stripe lock on
+  // close and no registry lock; the bench_p1_solvers
   // overhead_span_tracing leg gates this cost).
   static telemetry::Counter &StepCount =
       telemetry::Registry::global().counter("thermal.network.transient_steps");
-  telemetry::Span StepSpan("thermal.network.step_transient");
+  static telemetry::Timer &StepTimer =
+      telemetry::Registry::global().timer("thermal.network.step_transient");
+  telemetry::Span StepSpan(StepTimer);
   StepCount.add();
 
   ensureSymbolic();

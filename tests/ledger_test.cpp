@@ -5,15 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The thermal slice of the work ledger: exact counts of the solver work
-/// the production paths do, read as telemetry counter deltas. Work counts
-/// do not move with the host the way wall times do, so a change that adds
-/// a factorization, loses a factor reuse or moves a workload onto another
-/// solve path fails here, and each count that moved is named.
+/// The work ledger: exact counts of the work the production paths do,
+/// read as telemetry counter deltas. Work counts do not move with the
+/// host the way wall times do, so a change that adds a factorization,
+/// loses a factor reuse, moves a workload onto another solve path or
+/// reruns a sweep replicate fails here, and each count that moved is
+/// named.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Designs.h"
+#include "faults/Scenario.h"
+#include "faults/Sweep.h"
 #include "sim/RackTransient.h"
 #include "sim/Transient.h"
 #include "telemetry/Telemetry.h"
@@ -30,26 +33,49 @@ using namespace rcs;
 
 namespace {
 
-/// The `thermal.network.*` counters the ledger pins, in ThermalWork order.
-const char *const Counters[] = {"factorizations", "factor_reuses",
-                                "sparse_symbolic", "sparse_solves",
-                                "transient_steps"};
-using ThermalWork = std::array<uint64_t, 5>;
-
-/// Checks that \p Body moves each counter by exactly \p Want.
-template <typename Fn>
-void expectThermalWork(const ThermalWork &Want, Fn &&Body) {
-  auto Read = [](size_t I) {
-    return telemetry::Registry::global()
-        .counter(std::string("thermal.network.") + Counters[I])
-        .value();
+/// Checks that \p Body moves each counter in \p Names by exactly the
+/// matching entry of \p Want.
+template <size_t N, typename Fn>
+void expectWork(const std::array<const char *, N> &Names,
+                const std::array<uint64_t, N> &Want, Fn &&Body) {
+  auto Read = [&](size_t I) {
+    return telemetry::Registry::global().counter(Names[I]).value();
   };
-  ThermalWork Before;
-  for (size_t I = 0; I != Want.size(); ++I)
+  std::array<uint64_t, N> Before;
+  for (size_t I = 0; I != N; ++I)
     Before[I] = Read(I);
   Body();
-  for (size_t I = 0; I != Want.size(); ++I)
-    EXPECT_EQ(Read(I) - Before[I], Want[I]) << Counters[I];
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Read(I) - Before[I], Want[I]) << Names[I];
+}
+
+/// The counters the thermal slice pins.
+constexpr std::array<const char *, 5> ThermalCounters = {
+    "thermal.network.factorizations", "thermal.network.factor_reuses",
+    "thermal.network.sparse_symbolic", "thermal.network.sparse_solves",
+    "thermal.network.transient_steps"};
+
+/// The counters the sweep slice pins.
+constexpr std::array<const char *, 5> SweepCounters = {
+    "faults.scenario.runs", "sim.transient.steps",
+    "thermal.network.factorizations", "thermal.network.transient_steps",
+    "audit.energy.steps"};
+
+/// A module campaign whose replicates differ: a pump-failure hazard with a
+/// mean time to failure near the horizon.
+faults::Scenario makeLedgerSweepScenario() {
+  faults::Scenario S;
+  S.Name = "ledger-sweep";
+  S.DurationS = 0.5 * 3600.0;
+  S.Seed = 17;
+  S.Policy.CriticalPeriodsToShutdown = 2;
+  faults::HazardSpec Hazard;
+  Hazard.Kind = faults::FaultKind::PumpFailure;
+  Hazard.Id = "pump";
+  Hazard.MttfHours = 0.6;
+  Hazard.RepairHours = 0.2;
+  S.Hazards.push_back(Hazard);
+  return S;
 }
 
 } // namespace
@@ -61,7 +87,7 @@ TEST(ThermalLedgerTest, ModuleTransientRefactorsEveryStep) {
   // system and none reuses a factor.
   sim::TransientSimulator Simulator(core::makeSkatModule(),
                                     core::makeNominalConditions());
-  expectThermalWork({301, 0, 0, 0, 301}, [&] {
+  expectWork(ThermalCounters, {301, 0, 0, 0, 301}, [&] {
     Expected<std::vector<sim::TraceSample>> Trace = Simulator.run(600.0);
     ASSERT_TRUE(Trace) << Trace.message();
   });
@@ -72,7 +98,7 @@ TEST(ThermalLedgerTest, RackTransientRefactorsEveryModuleStep) {
   // the 12 modules of the SKAT rack: one persistent network serves every
   // module, re-set and refactored for each module at each step.
   sim::RackTransientSimulator Simulator(core::makeSkatRack(), 25.0);
-  expectThermalWork({1452, 0, 0, 0, 1452}, [&] {
+  expectWork(ThermalCounters, {1452, 0, 0, 0, 1452}, [&] {
     Expected<std::vector<sim::RackTraceSample>> Trace = Simulator.run(600.0);
     ASSERT_TRUE(Trace) << Trace.message();
   });
@@ -89,7 +115,7 @@ TEST(ThermalLedgerTest, FleetSequenceReusesItsFactors) {
   Config.NumRacks = 24;
   thermal::FleetNetwork Fleet = thermal::buildFleetNetwork(Config);
   ASSERT_TRUE(Fleet.Net.solvesSparse());
-  expectThermalWork({4, 6, 2, 10, 8}, [&] {
+  expectWork(ThermalCounters, {4, 6, 2, 10, 8}, [&] {
     Expected<std::vector<double>> Steady = Fleet.Net.solveSteadyState();
     ASSERT_TRUE(Steady) << Steady.message();
     std::vector<double> Temps = *Steady;
@@ -103,4 +129,44 @@ TEST(ThermalLedgerTest, FleetSequenceReusesItsFactors) {
       ASSERT_TRUE(Fleet.Net.stepTransient(Temps, 5.0).isOk());
     ASSERT_TRUE(Fleet.Net.solveSteadyState());
   });
+}
+
+TEST(SweepLedgerTest, ModuleSweepRunsEachReplicateOnceAtAnyThreadCount) {
+  // Six replicates of a half-hour module scenario at the default 2 s step:
+  // 901 steps each, both end points included, each one dense
+  // factorization and one audited thermal step. Replicate 0 runs in the
+  // pool like the rest, so the sweep runs six scenarios, not seven, and
+  // the worker count changes none of the counts.
+  faults::Scenario S = makeLedgerSweepScenario();
+  for (int Threads : {1, 4}) {
+    faults::SweepConfig Config;
+    Config.NumReplicates = 6;
+    Config.NumThreads = Threads;
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    expectWork(SweepCounters, {6, 5406, 5406, 5406, 5406}, [&] {
+      Expected<faults::SweepReport> Report = faults::runSweep(S, Config);
+      ASSERT_TRUE(Report) << Report.message();
+      EXPECT_EQ(Report->FailedReplicates, 0);
+    });
+  }
+}
+
+TEST(SweepLedgerTest, AirCooledSweepFailsWithReplicateZerosError) {
+  // An air-cooled design has no immersion transient plant: replicate 0
+  // fails before it steps, and the sweep returns its error.
+  faults::Scenario S = makeLedgerSweepScenario();
+  S.Design = "taygeta";
+  for (int Threads : {1, 4}) {
+    faults::SweepConfig Config;
+    Config.NumReplicates = 6;
+    Config.NumThreads = Threads;
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    expectWork(SweepCounters, {0, 0, 0, 0, 0}, [&] {
+      Expected<faults::SweepReport> Report = faults::runSweep(S, Config);
+      ASSERT_FALSE(Report);
+      EXPECT_EQ(Report.message(),
+                "faults: design 'taygeta' has no immersion transient model "
+                "(use skat, skat-plus or skat-plus-naive)");
+    });
+  }
 }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace rcs;
@@ -276,6 +277,35 @@ TEST(SpanCostTest, NoSinkHotPathDoesNotAllocate) {
       EXPECT_EQ(Stats.Count, 101u);
     }
   EXPECT_TRUE(Found);
+}
+
+TEST(SpanCostTest, FirstSpanOnAFreshThreadDoesNotAllocate) {
+  // A thread's first span initializes its thread-locals (thread id,
+  // stripe, span-id block, context). None of them may allocate, so a
+  // worker that parallelFor just spawned pays no allocation either.
+  Registry Reg; // No sink attached.
+  Timer &Hot = Reg.timer("test.fresh");
+  Counter &Bumps = Reg.counter("test.fresh.count");
+  Histogram &Samples = Reg.histogram("test.fresh.samples");
+  uint64_t Allocated = 0;
+  std::thread Fresh([&] {
+    NumAllocations.store(0);
+    CountAllocations.store(true);
+    {
+      Span S(Hot);
+      S.attr("iterations", 1);
+      ScopedTimer Nested(Hot);
+      Bumps.add();
+      Samples.record(0.5);
+    }
+    CountAllocations.store(false);
+    Allocated = NumAllocations.load();
+  });
+  Fresh.join();
+  EXPECT_EQ(Allocated, 0u);
+  EXPECT_EQ(Reg.timerStats("test.fresh").Count, 2u);
+  EXPECT_EQ(Bumps.value(), 1u);
+  EXPECT_EQ(Samples.count(), 1u);
 }
 
 TEST(SpanAttrTest, OverflowBeyondCapacityIsDropped) {

@@ -84,15 +84,15 @@ TEST(HistogramTest, CountSumMinMaxMean) {
 
 TEST(HistogramTest, DecadeBuckets) {
   // Bucket B spans [10^(B-9), 10^(B-8)).
-  EXPECT_EQ(Histogram::bucketFor(0.0), 0);
-  EXPECT_EQ(Histogram::bucketFor(1e-12), 0);
-  EXPECT_EQ(Histogram::bucketFor(-5.0), 9); // Bucketed by magnitude.
-  EXPECT_EQ(Histogram::bucketFor(5e-9), 0);
-  EXPECT_EQ(Histogram::bucketFor(5e-8), 1);
-  EXPECT_EQ(Histogram::bucketFor(0.5), 8);
-  EXPECT_EQ(Histogram::bucketFor(5.0), 9);
-  EXPECT_EQ(Histogram::bucketFor(1e12), Histogram::NumBuckets - 1);
-  EXPECT_DOUBLE_EQ(Histogram::bucketLowerBound(9), 1.0);
+  EXPECT_EQ(Distribution::bucketFor(0.0), 0);
+  EXPECT_EQ(Distribution::bucketFor(1e-12), 0);
+  EXPECT_EQ(Distribution::bucketFor(-5.0), 9); // Bucketed by magnitude.
+  EXPECT_EQ(Distribution::bucketFor(5e-9), 0);
+  EXPECT_EQ(Distribution::bucketFor(5e-8), 1);
+  EXPECT_EQ(Distribution::bucketFor(0.5), 8);
+  EXPECT_EQ(Distribution::bucketFor(5.0), 9);
+  EXPECT_EQ(Distribution::bucketFor(1e12), Distribution::NumBuckets - 1);
+  EXPECT_DOUBLE_EQ(Distribution::bucketLowerBound(9), 1.0);
 
   Registry Reg;
   Histogram &H = Reg.histogram("test.histogram.buckets");

@@ -24,7 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -94,8 +97,45 @@ TEST(ThreadSafetyTest, LockGuardSerializesGuardedIncrements) {
 // Registry hammer
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Keeps every finished span's duration, per label. Sinks run under the
+/// registry lock, so it needs no lock of its own; the owner reads Seen
+/// after the workers have joined.
+class DurationSink final : public telemetry::EventSink {
+public:
+  explicit DurationSink(std::map<std::string, std::vector<double>> &Seen)
+      : Seen(Seen) {}
+
+  void instant(double, std::string_view, const telemetry::EventField *,
+               size_t) override {}
+  void span(const telemetry::SpanRecord &Rec) override {
+    Seen[std::string(Rec.Name)].push_back(Rec.DurationS);
+  }
+  Status close() override { return Status::ok(); }
+
+private:
+  std::map<std::string, std::vector<double>> &Seen;
+};
+
+} // namespace
+
 TEST(ThreadSafetyTest, RegistryHammerLosesNoCounterOrHistogramUpdate) {
   telemetry::Registry Reg;
+  // A second registry records the same timer labels with a sink attached,
+  // so its exact durations are known; the two registries must not mix.
+  std::map<std::string, std::vector<double>> Durations;
+  telemetry::Registry Traced;
+  Traced.setSink(std::make_unique<DurationSink>(Durations));
+  const char *const Labels[] = {"hammer.span", "hammer.timer"};
+  telemetry::Timer &SpanHandle = Reg.timer("hammer.span");
+  telemetry::Timer &TimerHandle = Reg.timer("hammer.timer");
+  telemetry::Timer &TracedSpanHandle = Traced.timer("hammer.span");
+  telemetry::Timer &TracedTimerHandle = Traced.timer("hammer.timer");
+
+  // Several parallelFor calls, so the later rounds record on new threads
+  // while earlier recording threads have already exited.
+  constexpr int Rounds = 3;
   constexpr int Items = 64;
   constexpr int OpsPerItem = 100;
   // Per-item metric names force concurrent map insertion alongside the
@@ -105,21 +145,37 @@ TEST(ThreadSafetyTest, RegistryHammerLosesNoCounterOrHistogramUpdate) {
   for (int I = 0; I != Items; ++I)
     Names.push_back("hammer.item." + std::to_string(I));
 
-  parallelFor(4, Items, [&](size_t Item) {
-    telemetry::Counter &Mine = Reg.counter(Names[Item]);
-    for (int I = 0; I != OpsPerItem; ++I) {
-      Reg.counter("hammer.total").add(1);
-      Reg.histogram("hammer.sample").record(1.0);
-      Reg.gauge("hammer.last_item").set(static_cast<double>(Item));
-      Mine.add(1);
-      // Interleave full snapshots (Registry lock nested over every
-      // Histogram lock) with the recording threads.
-      if (I % 32 == 0)
-        (void)Reg.snapshotMetrics();
-    }
-  });
+  for (int Round = 0; Round != Rounds; ++Round)
+    parallelFor(4, Items, [&](size_t Item) {
+      telemetry::Counter &Mine = Reg.counter(Names[Item]);
+      for (int I = 0; I != OpsPerItem; ++I) {
+        Reg.counter("hammer.total").add(1);
+        Reg.histogram("hammer.sample").record(1.0);
+        Reg.gauge("hammer.last_item").set(static_cast<double>(Item));
+        Mine.add(1);
+        // Spans and scoped timers, alternately through call-site handles
+        // and through the string constructors, into both registries.
+        if (I % 2 == 0) {
+          { telemetry::Span S(SpanHandle); }
+          { telemetry::ScopedTimer T(TimerHandle); }
+          { telemetry::Span S(TracedSpanHandle); }
+          { telemetry::ScopedTimer T(TracedTimerHandle); }
+        } else {
+          { telemetry::Span S(Reg, "hammer.span"); }
+          { telemetry::ScopedTimer T(Reg, "hammer.timer"); }
+          { telemetry::Span S(Traced, "hammer.span"); }
+          { telemetry::ScopedTimer T(Traced, "hammer.timer"); }
+        }
+        // Interleave full snapshots (Registry lock nested over every
+        // stripe lock) with the recording threads.
+        if (I % 32 == 0)
+          (void)Reg.snapshotMetrics();
+      }
+    });
+  ASSERT_TRUE(Traced.closeSink().ok());
 
-  constexpr uint64_t Total = static_cast<uint64_t>(Items) * OpsPerItem;
+  constexpr uint64_t Total =
+      static_cast<uint64_t>(Rounds) * Items * OpsPerItem;
   EXPECT_EQ(Reg.counter("hammer.total").value(), Total);
   EXPECT_EQ(Reg.histogram("hammer.sample").count(), Total);
   // Every sample is exactly 1.0, so the sum is exact in a double.
@@ -129,12 +185,63 @@ TEST(ThreadSafetyTest, RegistryHammerLosesNoCounterOrHistogramUpdate) {
   EXPECT_EQ(Reg.histogram("hammer.sample").maxValue(), 1.0);
   for (int I = 0; I != Items; ++I)
     EXPECT_EQ(Reg.counter(Names[I]).value(),
-              static_cast<uint64_t>(OpsPerItem));
+              static_cast<uint64_t>(Rounds) * OpsPerItem);
 
+  for (const char *Label : Labels) {
+    SCOPED_TRACE(Label);
+    // No sink: every span counted once, whichever thread closed it.
+    telemetry::SpanStats Plain = Reg.timerStats(Label);
+    EXPECT_EQ(Plain.Count, Total);
+    EXPECT_GE(Plain.MinS, 0.0);
+    EXPECT_LE(Plain.MinS, Plain.MaxS);
+    EXPECT_GE(Plain.TotalS, Plain.MaxS);
+    // With a sink: the merged stripes hold exactly the durations the sink
+    // saw. Min and max are exact; the total sums in another order.
+    const std::vector<double> &Seen = Durations[Label];
+    ASSERT_EQ(Seen.size(), Total);
+    telemetry::SpanStats Merged = Traced.timerStats(Label);
+    EXPECT_EQ(Merged.Count, Total);
+    EXPECT_EQ(Merged.MinS, *std::min_element(Seen.begin(), Seen.end()));
+    EXPECT_EQ(Merged.MaxS, *std::max_element(Seen.begin(), Seen.end()));
+    double SeenTotalS = std::accumulate(Seen.begin(), Seen.end(), 0.0);
+    EXPECT_NEAR(Merged.TotalS, SeenTotalS, 1e-9 * SeenTotalS);
+  }
+
+  // The snapshot carries the same merge timerStats reads.
   telemetry::MetricsSnapshot Snapshot = Reg.snapshotMetrics();
   EXPECT_EQ(Snapshot.Counters.size(), static_cast<size_t>(Items) + 1);
-  EXPECT_EQ(Snapshot.Histograms.size(), 1u);
+  ASSERT_EQ(Snapshot.Histograms.size(), 1u);
   EXPECT_EQ(Snapshot.Histograms[0].second.Count, Total);
+  ASSERT_EQ(Snapshot.Timers.size(), 2u);
+  for (const auto &[Label, Stats] : Snapshot.Timers) {
+    telemetry::SpanStats Direct = Reg.timerStats(Label);
+    EXPECT_EQ(Stats.Count, Direct.Count) << Label;
+    EXPECT_EQ(Stats.TotalS, Direct.TotalS) << Label;
+    EXPECT_EQ(Stats.MinS, Direct.MinS) << Label;
+    EXPECT_EQ(Stats.MaxS, Direct.MaxS) << Label;
+  }
+  // The traced registry holds only its own timers.
+  telemetry::MetricsSnapshot TracedSnapshot = Traced.snapshotMetrics();
+  EXPECT_TRUE(TracedSnapshot.Counters.empty());
+  EXPECT_TRUE(TracedSnapshot.Histograms.empty());
+  EXPECT_EQ(TracedSnapshot.Timers.size(), 2u);
+
+  // Reset zeroes every stripe that any of the threads wrote, and leaves
+  // the other registry alone.
+  Reg.resetMetrics();
+  EXPECT_EQ(Reg.counter("hammer.total").value(), 0u);
+  EXPECT_EQ(Reg.histogram("hammer.sample").count(), 0u);
+  for (const char *Label : Labels) {
+    telemetry::SpanStats Zeroed = Reg.timerStats(Label);
+    EXPECT_EQ(Zeroed.Count, 0u) << Label;
+    EXPECT_EQ(Zeroed.TotalS, 0.0) << Label;
+    EXPECT_EQ(Zeroed.MinS, 0.0) << Label;
+    EXPECT_EQ(Zeroed.MaxS, 0.0) << Label;
+    EXPECT_EQ(Traced.timerStats(Label).Count, Total) << Label;
+  }
+  // Handles stay live across the reset.
+  { telemetry::Span S(SpanHandle); }
+  EXPECT_EQ(Reg.timerStats("hammer.span").Count, 1u);
 }
 
 //===----------------------------------------------------------------------===//

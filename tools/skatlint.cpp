@@ -329,7 +329,7 @@ const char *const ExactAllowedNames[] = {
     "value",   "prandtl",   "opening",     "quantile", "mean",   "total",
     "sum",     "at",        "evaluate",    "derivative", "inverse",
     "minX",    "maxX",      "uniform",     "normal",   "exponential",
-    "cop",     "reynolds",  "quantileLocked", "p50",   "p95",    "p99",
+    "cop",     "reynolds",  "p50",       "p95",      "p99",
 };
 
 bool endsWithAtBoundary(const std::string &Name, const std::string &Suffix) {
