@@ -8,8 +8,8 @@
 /// google-benchmark micro-benchmarks of the numerical kernels: thermal
 /// network steady-state and transient solves, hydraulic network Newton
 /// solves, the full coupled module solve and a rack solve. Also serves as
-/// the ablation harness for the coupled fixed-point iteration cost, the
-/// physics-audit hot-path overhead and reliability-sweep thread scaling.
+/// the ablation harness for the span-tracing and physics-audit hot-path
+/// overheads and reliability-sweep thread scaling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -235,25 +235,31 @@ template <typename Fn> double bestWallTimeS(int Rounds, Fn &&Body) {
   return Best;
 }
 
-/// Seconds for \p Steps transient ladder steps: the network reusing its
-/// cached factor, or the frozen seed step; \p Temps gets the final state.
-/// 256 rungs = 512 unknowns: rack-scale, where the refactor the cache
-/// avoids dominates the backsolve it must still run. Pinned to the dense
-/// kernel: this leg measures factor *reuse*, and letting the cached leg
-/// route through the sparse solver would conflate the two ablations (the
-/// sparse-vs-dense ratio has its own legs below).
-double timeTransientLadderS(bool Seed, int Steps, std::vector<double> &Temps) {
-  thermal::ThermalNetwork Net = makeLadderNetwork(256);
+/// The transient ladder: 256 rungs = 512 unknowns, rack-scale, where the
+/// refactor the cache avoids dominates the backsolve it must still run.
+/// Pinned to the dense kernel: these legs measure factor *reuse* and
+/// instrumentation cost, and letting them route through the sparse solver
+/// would conflate ablations (the sparse-vs-dense ratio has its own legs
+/// below).
+constexpr int LadderRungs = 256;
+/// Timed rounds per ladder leg; each leg keeps its best.
+constexpr int LadderRounds = 3;
+
+thermal::ThermalNetwork makeDenseLadder() {
+  thermal::ThermalNetwork Net = makeLadderNetwork(LadderRungs);
   Net.setSparseThreshold(SIZE_MAX);
-  Temps.assign(Net.numNodes(), 30.0);
-  auto Step = [&] {
-    return Seed ? seedLadderStep(256, Temps, 1.0)
-                : Net.stepTransient(Temps, 1.0);
-  };
-  (void)Step(); // Prime the cache outside the clock.
-  return bestWallTimeS(3, [&] {
+  return Net;
+}
+
+/// Seconds for \p Steps frozen seed steps of the ladder, best of
+/// LadderRounds, after one priming step like the cached legs; \p Temps gets
+/// the final state.
+double timeSeedLadderS(int Steps, std::vector<double> &Temps) {
+  Temps.assign(makeDenseLadder().numNodes(), 30.0);
+  (void)seedLadderStep(LadderRungs, Temps, 1.0);
+  return bestWallTimeS(LadderRounds, [&] {
     for (int I = 0; I != Steps; ++I)
-      (void)Step();
+      (void)seedLadderStep(LadderRungs, Temps, 1.0);
   });
 }
 
@@ -295,27 +301,58 @@ double timeRackNewtonS(bool Overhaul, int Solves) {
   });
 }
 
-/// Seconds for \p Steps audited transient ladder steps: the cached leg
-/// plus the full per-step audit cost — the begin-of-step state snapshot
-/// and the conservation residual recompute PhysicsAuditor charges the
-/// hot loop for. The ratio against the un-audited cached leg reads like
-/// overhead_span_tracing: 1.0 = auditing is free.
-double timeTransientLadderAuditedS(int Steps) {
-  thermal::ThermalNetwork Net = makeLadderNetwork(256);
-  Net.setSparseThreshold(SIZE_MAX); // Matches the un-audited dense leg.
-  std::vector<double> Temps(Net.numNodes(), 30.0);
-  (void)Net.stepTransient(Temps, 1.0); // Prime the cache outside the clock.
+/// Best-of-LadderRounds seconds for \p Steps ladder steps on the cached
+/// factor, three ways: plain; traced, with a discard sink attached for the
+/// round; and audited, paying the begin-of-step state snapshot and
+/// conservation residual recompute PhysicsAuditor charges the hot loop for.
+/// Each leg steps its own network, built and primed before any clock
+/// starts, and the legs take turns within every round: a change in host
+/// speed then lands on all three alike, so the ratios read the
+/// instrumentation, not the host.
+struct LadderLegs {
+  double CachedS = 1e300;
+  double TracedS = 1e300;
+  double AuditedS = 1e300;
+};
+
+LadderLegs timeLadderLegs(int Steps, std::vector<double> &CachedTemps) {
+  thermal::ThermalNetwork Cached = makeDenseLadder();
+  thermal::ThermalNetwork Traced = makeDenseLadder();
+  thermal::ThermalNetwork Audited = makeDenseLadder();
+  CachedTemps.assign(Cached.numNodes(), 30.0);
+  std::vector<double> TracedTemps = CachedTemps, AuditedTemps = CachedTemps;
+  (void)Cached.stepTransient(CachedTemps, 1.0);
+  (void)Traced.stepTransient(TracedTemps, 1.0);
+  (void)Audited.stepTransient(AuditedTemps, 1.0);
   audit::PhysicsAuditor Auditor((audit::DriftBudgets()));
   std::vector<double> Before;
-  return bestWallTimeS(3, [&] {
-    for (int I = 0; I != Steps; ++I) {
-      Before = Temps;
-      (void)Net.stepTransient(Temps, 1.0);
-      audit::EnergyClosure Closure =
-          Auditor.recordThermalStep(Net, Before, Temps, 1.0);
-      benchmark::DoNotOptimize(Closure);
-    }
-  });
+  telemetry::Registry &Telemetry = telemetry::Registry::global();
+  LadderLegs Best;
+  auto Keep = [](double &BestS, auto &&Body) {
+    BestS = std::min(BestS, bestWallTimeS(1, Body));
+  };
+  for (int Round = 0; Round != LadderRounds; ++Round) {
+    Keep(Best.CachedS, [&] {
+      for (int I = 0; I != Steps; ++I)
+        (void)Cached.stepTransient(CachedTemps, 1.0);
+    });
+    Telemetry.setSink(std::make_unique<DiscardSink>());
+    Keep(Best.TracedS, [&] {
+      for (int I = 0; I != Steps; ++I)
+        (void)Traced.stepTransient(TracedTemps, 1.0);
+    });
+    (void)Telemetry.closeSink();
+    Keep(Best.AuditedS, [&] {
+      for (int I = 0; I != Steps; ++I) {
+        Before = AuditedTemps;
+        (void)Audited.stepTransient(AuditedTemps, 1.0);
+        audit::EnergyClosure Closure =
+            Auditor.recordThermalStep(Audited, Before, AuditedTemps, 1.0);
+        benchmark::DoNotOptimize(Closure);
+      }
+    });
+  }
+  return Best;
 }
 
 /// One steady leg of the sparse-vs-dense thermal ladder: per-solve time
@@ -367,35 +404,6 @@ double timeLadderTransientPerStepS(bool Sparse, int Unknowns, int Steps,
              (void)Net.stepTransient(Temps, 1.0);
          }) /
          Steps;
-}
-
-/// Seconds per coupled immersion-module solve: seed path (cold fixed
-/// point from the nameplate guess every solve) vs warm-started path
-/// (ModuleSolveOptions::WarmStart seeded from the previous report, the
-/// trim-loop / design-sweep access pattern). The prime solve stays
-/// outside the clock, like the hydraulic warm-start leg.
-double timeModuleSolveS(bool Warm, int Solves) {
-  rcsystem::ComputationalModule Module(core::makeSkatModule());
-  auto Conditions = core::makeNominalConditions();
-  const fpga::WorkloadPoint Load = Module.config().Load;
-  rcsystem::ModuleThermalReport Prior;
-  if (Warm) {
-    auto Primer = Module.solveSteadyState(Conditions, Load);
-    if (Primer)
-      Prior = *Primer;
-  }
-  return bestWallTimeS(3, [&] {
-           for (int I = 0; I != Solves; ++I) {
-             rcsystem::ModuleSolveOptions Options;
-             if (Warm && !Prior.Fpgas.empty())
-               Options.WarmStart = &Prior;
-             auto Report = Module.solveSteadyState(Conditions, Load, Options);
-             benchmark::DoNotOptimize(Report);
-             if (Warm && Report)
-               Prior = *Report;
-           }
-         }) /
-         Solves;
 }
 
 /// A deterministic module-level reliability campaign for the sweep
@@ -455,11 +463,10 @@ int main(int Argc, char **Argv) {
   double RepScale = benchRepScale();
   int TransientSteps = std::max(10, static_cast<int>(200 * RepScale));
   int NewtonSolves = std::max(4, static_cast<int>(40 * RepScale));
-  std::vector<double> SeedTemps, CachedTemps, TracedTemps;
-  double TransientSeedS =
-      timeTransientLadderS(true, TransientSteps, SeedTemps);
-  double TransientCachedS =
-      timeTransientLadderS(false, TransientSteps, CachedTemps);
+  std::vector<double> SeedTemps, CachedTemps;
+  double TransientSeedS = timeSeedLadderS(TransientSteps, SeedTemps);
+  LadderLegs Legs = timeLadderLegs(TransientSteps, CachedTemps);
+  double TransientCachedS = Legs.CachedS;
   double NewtonSeedS = timeRackNewtonS(false, NewtonSolves);
   double NewtonOverhaulS = timeRackNewtonS(true, NewtonSolves);
   double TransientSpeedup = TransientSeedS / TransientCachedS;
@@ -468,24 +475,20 @@ int main(int Argc, char **Argv) {
          TransientSpeedup, NewtonSpeedup);
 
   telemetry::Registry &Telemetry = telemetry::Registry::global();
-  // Span-tracing overhead: the identical cached transient leg with a
-  // record-discarding sink installed, so every solver span goes through
-  // the full SpanRecord path. The ratio (no sink / sink) reads like a
-  // speedup: 1.0 = tracing is free, and bench_compare gates it the same
-  // way, so a hot-path span regression trips CI.
-  Telemetry.setSink(std::make_unique<DiscardSink>());
-  double TransientTracedS =
-      timeTransientLadderS(false, TransientSteps, TracedTemps);
-  (void)Telemetry.closeSink();
+  // Span-tracing overhead: the cached leg against its traced twin, where
+  // every solver span goes through the full SpanRecord path. The ratio
+  // (no sink / sink) reads like a speedup: 1.0 = tracing is free, and
+  // bench_compare gates it the same way, so a hot-path span regression
+  // trips CI.
+  double TransientTracedS = Legs.TracedS;
   double TracingOverhead = TransientCachedS / TransientTracedS;
   printf("ablation: span tracing overhead ratio %.2fx (no sink / discard "
          "sink)\n",
          TracingOverhead);
 
-  // Physics-audit overhead: the cached transient leg again, now paying
-  // the per-step state snapshot plus conservation residual recompute.
+  // Physics-audit overhead: the cached leg against its audited twin.
   // Gated like overhead_span_tracing (1.0 = auditing is free).
-  double TransientAuditedS = timeTransientLadderAuditedS(TransientSteps);
+  double TransientAuditedS = Legs.AuditedS;
   double AuditOverhead = TransientCachedS / TransientAuditedS;
   printf("ablation: physics audit overhead ratio %.2fx (no audit / "
          "audited)\n",
@@ -568,16 +571,6 @@ int main(int Argc, char **Argv) {
          Sparse8k.PerSolveS * 1e3, SparseStep8192S * 1e3,
          Sparse8k.FactorBytes / 1024);
 
-  // Coupled-module fixed point: cold nameplate start vs warm start from
-  // the previous report.
-  const int ModuleSolves = std::max(3, static_cast<int>(10 * RepScale));
-  double ModuleColdS = timeModuleSolveS(false, ModuleSolves);
-  double ModuleWarmS = timeModuleSolveS(true, ModuleSolves);
-  double ModuleSpeedup = ModuleColdS / ModuleWarmS;
-  printf("ablation: coupled module solve %.2fx (cold start %.2f ms, warm "
-         "start %.2f ms)\n",
-         ModuleSpeedup, ModuleColdS * 1e3, ModuleWarmS * 1e3);
-
   // Reliability-sweep scaling: serial vs all-hardware-threads runs of the
   // same campaign. On a single-core host both legs run inline and the
   // ratio sits near 1.0; the gate compares against a baseline recorded on
@@ -613,9 +606,6 @@ int main(int Argc, char **Argv) {
   Bench.addMetric("thermal_sparse_factor_bytes_8192",
                   static_cast<long long>(Sparse8k.FactorBytes));
   Bench.addMetric("thermal_sparse_dense_max_diff_c", LadderMaxDiffC);
-  Bench.addMetric("speedup_coupled_module_solve", ModuleSpeedup);
-  Bench.addMetric("module_solve_cold_s", ModuleColdS);
-  Bench.addMetric("module_solve_warm_s", ModuleWarmS);
   Bench.addMetric("sweep_serial_s", SweepSerialS);
   Bench.addMetric("sweep_parallel_s", SweepParallelS);
   Bench.addMetric("speedup_sweep_parallel", SweepSpeedup);
@@ -649,7 +639,6 @@ int main(int Argc, char **Argv) {
             SweepSerialS > 0.0 && SweepParallelS > 0.0 && LadderOk &&
             DenseStep4096S > 0.0 && SparseStep4096S > 0.0 &&
             Sparse8k.PerSolveS > 0.0 && SparseStep8192S > 0.0 &&
-            ModuleColdS > 0.0 && ModuleWarmS > 0.0 &&
             LadderMaxDiffC < 1e-4 && DenseBytesGate > SparseBytesGate;
   Bench.writeOrWarn(Ok);
   return Ok ? 0 : 1;

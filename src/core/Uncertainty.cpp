@@ -7,6 +7,7 @@
 #include "core/Uncertainty.h"
 
 #include "support/Random.h"
+#include "telemetry/Span.h"
 
 #include <algorithm>
 #include <cassert>
@@ -43,6 +44,9 @@ UncertaintyResult rcs::core::analyzeModuleTolerances(
   assert(Nominal.Cooling == CoolingKind::Immersion &&
          "tolerance analysis models immersion modules");
   assert(NumSamples > 0 && "need at least one sample");
+  static telemetry::Timer &RunTimer =
+      telemetry::Registry::global().timer("core.tolerances");
+  telemetry::Span RunSpan(RunTimer);
 
   RandomEngine Rng(Seed);
   UncertaintyResult Result;

@@ -41,22 +41,35 @@ struct FlowNetwork::Impl {
     return Total;
   }
 
-  /// Inverts the edge's monotone dP(Q) relation: finds Q with
-  /// dP(Q) == TargetDrop.
+  /// Inverts the edge's monotone dP(Q) relation: finds Q with dP(Q) ==
+  /// TargetDrop, adding its edge-drop evaluations to \p Evaluations.
   double invertEdge(EdgeId E, double TargetDrop, const fluids::Fluid &F,
-                    double TempC, double FlowScale) const {
-    auto Fn = [&](double Q) { return edgeDrop(E, Q, F, TempC) - TargetDrop; };
-    // Expand the bracket until the root is enclosed; dP is strictly
-    // increasing so expansion terminates.
+                    double TempC, double FlowScale,
+                    uint64_t &Evaluations) const {
+    auto Fn = [&](double Q) {
+      ++Evaluations;
+      return edgeDrop(E, Q, F, TempC) - TargetDrop;
+    };
+    // Expand the bracket until the root is enclosed (dP is strictly
+    // increasing); Brent starts from the enclosing bracket's end values.
     double Bracket = FlowScale;
-    for (int Attempt = 0; Attempt != 60; ++Attempt) {
-      if (Fn(-Bracket) <= 0.0 && Fn(Bracket) >= 0.0)
-        break;
-      Bracket *= 4.0;
+    double LowValue = 0.0, HighValue = 0.0;
+    bool Enclosed = false;
+    for (int Attempt = 0; Attempt != 60 && !Enclosed; ++Attempt) {
+      LowValue = Fn(-Bracket);
+      if (LowValue <= 0.0) {
+        HighValue = Fn(Bracket);
+        Enclosed = HighValue >= 0.0;
+      }
+      if (!Enclosed)
+        Bracket *= 4.0;
     }
     RootFindOptions Options;
     Options.AbsTolerance = 1e-14 * std::max(1.0, Bracket / FlowScale);
-    Expected<double> Root = findRootBrent(Fn, -Bracket, Bracket, Options);
+    Expected<double> Root =
+        Enclosed ? findRootBrent(Fn, -Bracket, Bracket, LowValue, HighValue,
+                                 Options)
+                 : findRootBrent(Fn, -Bracket, Bracket, Options);
     // A monotone function bracketed above always yields a root; fall back
     // to zero flow only on pathological element behavior.
     return Root ? *Root : 0.0;
@@ -95,12 +108,6 @@ EdgeId FlowNetwork::addEdge(std::string Name, JunctionId From, JunctionId To,
   Record.Elements = std::move(Elements);
   PImpl->Edges.push_back(std::move(Record));
   return PImpl->Edges.size() - 1;
-}
-
-void FlowNetwork::appendElement(EdgeId Edge,
-                                std::unique_ptr<FlowElement> Element) {
-  assert(Edge < PImpl->Edges.size() && "edge out of range");
-  PImpl->Edges[Edge].Elements.push_back(std::move(Element));
 }
 
 FlowElement *FlowNetwork::elementAt(EdgeId Edge, size_t Index) {
@@ -160,6 +167,8 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
       Telemetry.counter("hydraulics.newton.iterations");
   static telemetry::Counter &InversionCount =
       Telemetry.counter("hydraulics.edge_inversion.searches");
+  static telemetry::Counter &EvaluationCount =
+      Telemetry.counter("hydraulics.edge_inversion.evaluations");
   static telemetry::Counter &RetryCount =
       Telemetry.counter("hydraulics.newton.jacobian_retries");
   static telemetry::Counter &WarmStartCount =
@@ -198,14 +207,16 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
     return P;
   };
 
-  // Bracketing root searches performed, accumulated locally and folded
-  // into the counter once — the per-search cost must stay untouched.
+  // Bracketing root searches and their edge-drop evaluations, accumulated
+  // locally and folded into the counters once — per-search cost untouched.
   uint64_t InversionSearches = 0;
+  uint64_t InversionEvaluations = 0;
   auto edgeFlows = [&](const std::vector<double> &P) {
     std::vector<double> Q(NumE, 0.0);
     for (size_t E = 0; E != NumE; ++E) {
       double Drop = P[PImpl->Edges[E].From] - P[PImpl->Edges[E].To];
-      Q[E] = PImpl->invertEdge(E, Drop, F, TempC, FlowScaleM3PerS);
+      Q[E] = PImpl->invertEdge(E, Drop, F, TempC, FlowScaleM3PerS,
+                               InversionEvaluations);
     }
     InversionSearches += NumE;
     return Q;
@@ -358,6 +369,7 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
   SolveSpan.attr("converged", Newton.Converged);
   if (!Newton.Converged) {
     InversionCount.add(InversionSearches);
+    EvaluationCount.add(InversionEvaluations);
     FailureCount.add();
     return Expected<FlowSolution>::error(
         "hydraulic solve did not converge (residual " +
@@ -370,6 +382,7 @@ FlowNetwork::solve(const fluids::Fluid &F, double TempC,
   Solution.NewtonIterations = Newton.Iterations;
   Solution.ResidualHistory = std::move(History);
   InversionCount.add(InversionSearches);
+  EvaluationCount.add(InversionEvaluations);
 
   std::vector<double> NetIn(NumJ, 0.0);
   for (size_t E = 0; E != NumE; ++E) {

@@ -100,9 +100,6 @@ public:
   EdgeId addEdge(std::string Name, JunctionId From, JunctionId To,
                  std::vector<std::unique_ptr<FlowElement>> Elements);
 
-  /// Appends an element to an existing edge.
-  void appendElement(EdgeId Edge, std::unique_ptr<FlowElement> Element);
-
   /// Returns a mutable element pointer for runtime adjustments (valve
   /// openings, pump speeds). The network retains ownership.
   FlowElement *elementAt(EdgeId Edge, size_t Index);

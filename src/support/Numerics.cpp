@@ -192,8 +192,16 @@ rcs::solveTridiagonal(std::vector<double> Lower, std::vector<double> Diag,
 Expected<double> rcs::findRootBrent(const std::function<double(double)> &F,
                                     double Low, double High,
                                     RootFindOptions Options) {
+  double LowValue = F(Low);
+  double HighValue = F(High);
+  return findRootBrent(F, Low, High, LowValue, HighValue, Options);
+}
+
+Expected<double> rcs::findRootBrent(const std::function<double(double)> &F,
+                                    double Low, double High, double LowValue,
+                                    double HighValue, RootFindOptions Options) {
   double A = Low, B = High;
-  double Fa = F(A), Fb = F(B);
+  double Fa = LowValue, Fb = HighValue;
   // skatlint:ignore(float-equality) -- an exact root at a bracket end is
   // the documented early-out; approximate zeros go through the iteration.
   if (Fa == 0.0)

@@ -120,6 +120,13 @@ Expected<double> findRootBrent(const std::function<double(double)> &F,
                                double Low, double High,
                                RootFindOptions Options = RootFindOptions());
 
+/// As above from known end values \p LowValue = F(Low), \p HighValue =
+/// F(High): the same iterates, without evaluating the ends again.
+Expected<double> findRootBrent(const std::function<double(double)> &F,
+                               double Low, double High, double LowValue,
+                               double HighValue,
+                               RootFindOptions Options = RootFindOptions());
+
 /// Newton iteration with numeric derivative and bisection fallback bounds.
 ///
 /// Falls back to Brent within [Low, High] when Newton leaves the bracket.

@@ -12,6 +12,7 @@
 #include "support/Numerics.h"
 #include "support/StringUtils.h"
 #include "system/Module.h"
+#include "telemetry/Telemetry.h"
 #include "thermal/Interface.h"
 
 #include <algorithm>
@@ -77,6 +78,13 @@ static double psuLossW(const ModuleConfig &Module, double ItPowerW,
   return Count * Psu.lossW(ItPowerW / Count);
 }
 
+/// Folds one module solve's junction-temperature solves into the ledger.
+static void countJunctionSolves(uint64_t Solves) {
+  static telemetry::Counter &Count =
+      telemetry::Registry::global().counter("system.module.junction_solves");
+  Count.add(Solves);
+}
+
 /// Fills per-report temperature limit flags and warnings.
 static void finalizeLimits(const fpga::FpgaSpec &Spec,
                            ModuleThermalReport &Report) {
@@ -101,8 +109,7 @@ static void finalizeLimits(const fpga::FpgaSpec &Spec,
 Expected<ModuleThermalReport>
 rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
                                     const ExternalConditions &Conditions,
-                                    const fpga::WorkloadPoint &Load,
-                                    const ModuleSolveOptions &Options) {
+                                    const fpga::WorkloadPoint &Load) {
   const AirCoolingConfig &Cfg = Module.Air;
   if (Cfg.AirflowM3PerS <= 0.0 || Cfg.FlowAreaM2 <= 0.0)
     return Expected<ModuleThermalReport>::error(
@@ -131,14 +138,10 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
 
   double BoardHeat =
       Board.computeFpgaCount() * Spec.DynamicPowerMaxW; // Initial guess.
-  if (const ModuleThermalReport *Warm = Options.WarmStart;
-      Warm && Warm->ItPowerW > 0.0 &&
-      Warm->Fpgas.size() == static_cast<size_t>(Module.NumCcbs) *
-                                Board.computeFpgaCount())
-    BoardHeat = Warm->ItPowerW / Module.NumCcbs;
   double TjFront = 0.0, TjBack = 0.0, PFront = 0.0, PBack = 0.0;
   double RFront = 0.0, RBack = 0.0;
   double FrontRef = Inlet, BackRef = Inlet;
+  uint64_t JunctionSolves = 0;
   for (int Iter = 0; Iter != 100; ++Iter) {
     double MeanAir = Inlet + 0.5 * BoardHeat / 500.0; // Mild estimate.
     double RhoCp = Air->volumetricHeatCapacityJPerM3K(MeanAir);
@@ -154,6 +157,7 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
                                         BackRef + 25.0);
     TjFront = PowerModel.solveJunctionTempC(Load, RFront, FrontRef);
     TjBack = PowerModel.solveJunctionTempC(Load, RBack, BackRef);
+    JunctionSolves += 2;
     PFront = PowerModel.totalPowerW(Load, TjFront);
     PBack = PowerModel.totalPowerW(Load, TjBack);
 
@@ -163,6 +167,7 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
       break;
     BoardHeat = 0.5 * BoardHeat + 0.5 * NewBoardHeat;
   }
+  countJunctionSolves(JunctionSolves);
 
   ModuleThermalReport Report;
   Report.FpgaHeatW =
@@ -207,8 +212,7 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
 Expected<ModuleThermalReport>
 rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
                                     const ExternalConditions &Conditions,
-                                    const fpga::WorkloadPoint &Load,
-                                    const ModuleSolveOptions &Options) {
+                                    const fpga::WorkloadPoint &Load) {
   const ColdPlateCoolingConfig &Cfg = Module.ColdPlate;
   if (Cfg.WaterFlowM3PerS <= 0.0)
     return Expected<ModuleThermalReport>::error(
@@ -235,16 +239,7 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
   std::vector<double> ChipPower(N, Spec.DynamicPowerMaxW);
   std::vector<double> ChipTj(N, Inlet + 20.0);
   std::vector<double> LocalWater(N, Inlet);
-  if (const ModuleThermalReport *Warm = Options.WarmStart;
-      Warm && Warm->Fpgas.size() ==
-                  static_cast<size_t>(Module.NumCcbs) * N) {
-    // Boards are identical in this solver; board 0's states seed all.
-    for (int I = 0; I != N; ++I) {
-      ChipPower[I] = Warm->Fpgas[I].PowerW;
-      ChipTj[I] = Warm->Fpgas[I].JunctionTempC;
-      LocalWater[I] = Warm->Fpgas[I].LocalCoolantTempC;
-    }
-  }
+  uint64_t JunctionSolves = 0;
   for (int Iter = 0; Iter != 100; ++Iter) {
     double Cumulative = 0.0;
     double MaxChange = 0.0;
@@ -252,6 +247,7 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
       LocalWater[I] = Inlet + (Cumulative + 0.5 * ChipPower[I]) /
                                   BoardCapacity;
       double Tj = PowerModel.solveJunctionTempC(Load, RTotal, LocalWater[I]);
+      ++JunctionSolves;
       double P = PowerModel.totalPowerW(Load, Tj);
       MaxChange = std::max(MaxChange, std::fabs(P - ChipPower[I]));
       ChipTj[I] = Tj;
@@ -261,6 +257,7 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
     if (MaxChange < 1e-7)
       break;
   }
+  countJunctionSolves(JunctionSolves);
 
   ModuleThermalReport Report;
   double BoardFpgaHeat = 0.0;
@@ -314,8 +311,7 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
 Expected<ModuleThermalReport>
 rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
                                     const ExternalConditions &Conditions,
-                                    const fpga::WorkloadPoint &Load,
-                                    const ModuleSolveOptions &Options) {
+                                    const fpga::WorkloadPoint &Load) {
   const ImmersionCoolingConfig &Cfg = Module.Immersion;
   if (Cfg.BathFlowAreaM2 <= 0.0)
     return Expected<ModuleThermalReport>::error(
@@ -366,8 +362,16 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
   double PumpElectricalW = Pumps * OilPump.electricalPowerW(Q / Pumps);
 
   // --- Coupled heat / temperature fixed point ---------------------------
+  // Boards fed in parallel share oil, flow, sink, TIM, load and seed, so one
+  // state stands for all of them; in series each board is its own class.
+  // Sums still add one term per board, in board order, to keep the bits.
   const int N = Board.computeFpgaCount();
   const int Boards = Module.NumCcbs;
+  const bool Parallel =
+      Cfg.Distribution ==
+      ImmersionCoolingConfig::OilDistribution::ParallelAcrossBoards;
+  const int Classes = Parallel ? 1 : Boards;
+  auto classOf = [&](int B) { return Parallel ? 0 : B; };
   double CWater = hydraulics::PlateHeatExchanger::capacityRateWPerK(
       *Water, Conditions.WaterFlowM3PerS, Conditions.WaterInletTempC + 4.0);
   if (CWater <= 0.0)
@@ -378,26 +382,11 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
   double TotalHeat =
       Boards * (N * Spec.DynamicPowerMaxW + Module.Board.MiscPowerW);
   double OilCold = Conditions.WaterInletTempC + 5.0;
-  std::vector<double> BoardInlet(Boards, OilCold);
-  std::vector<double> BoardLocal(Boards, OilCold);
-  std::vector<double> BoardTj(Boards, OilCold + 15.0);
-  std::vector<double> BoardChipPower(Boards, Spec.DynamicPowerMaxW);
-  std::vector<double> BoardR(Boards, 0.2);
-  if (const ModuleThermalReport *Warm = Options.WarmStart;
-      Warm && Warm->TotalHeatW > 0.0 &&
-      Warm->Fpgas.size() == static_cast<size_t>(Boards) * N &&
-      Warm->PerBoardCoolantTempC.size() == static_cast<size_t>(Boards)) {
-    TotalHeat = Warm->TotalHeatW;
-    OilCold = Warm->CoolantColdTempC;
-    for (int B = 0; B != Boards; ++B) {
-      const FpgaThermalState &Chip = Warm->Fpgas[static_cast<size_t>(B) * N];
-      BoardLocal[B] = Warm->PerBoardCoolantTempC[B];
-      BoardTj[B] = Chip.JunctionTempC;
-      BoardChipPower[B] = Chip.PowerW;
-    }
-  }
+  std::vector<double> BoardChipPower(Classes, Spec.DynamicPowerMaxW);
+  std::vector<double> BoardLocal(Classes), BoardTj(Classes), BoardR(Classes);
 
   double PsuLoss = 0.0;
+  uint64_t JunctionSolves = 0;
   for (int Iter = 0; Iter != 120; ++Iter) {
     double MeanOil = OilCold + 2.0;
     double COil = Q * Oil->densityKgPerM3(MeanOil) *
@@ -418,43 +407,32 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
               TotalHeat * (1.0 / (Eps * CMin) - 1.0 / COil);
     OilTempGuess = OilCold + TotalHeat / COil;
 
-    // Oil distribution across the boards.
+    // Oil distribution: a class's inlet carries the rise of those upstream.
     double MaxChange = 0.0;
-    double SumBoards = 0.0;
     double Cumulative = 0.0;
-    for (int B = 0; B != Boards; ++B) {
-      double BoardHeat =
-          N * BoardChipPower[B] + Module.Board.MiscPowerW;
-      double BoardFlow =
-          Cfg.Distribution ==
-                  ImmersionCoolingConfig::OilDistribution::ParallelAcrossBoards
-              ? Q / Boards
-              : Q;
-      double CBoard = BoardFlow * Oil->densityKgPerM3(OilCold + 2.0) *
-                      Oil->specificHeatJPerKgK(OilCold + 2.0);
-      double Rise = BoardHeat / CBoard;
-      if (Cfg.Distribution ==
-          ImmersionCoolingConfig::OilDistribution::ParallelAcrossBoards) {
-        BoardInlet[B] = OilCold;
-        BoardLocal[B] = OilCold + 0.5 * Rise;
-      } else {
-        BoardInlet[B] = OilCold + Cumulative;
-        BoardLocal[B] = BoardInlet[B] + 0.5 * Rise;
-        Cumulative += Rise;
-      }
+    double CBoard = (Parallel ? Q / Boards : Q) *
+                    Oil->densityKgPerM3(OilCold + 2.0) *
+                    Oil->specificHeatJPerKgK(OilCold + 2.0);
+    for (int K = 0; K != Classes; ++K) {
+      double Rise =
+          (N * BoardChipPower[K] + Module.Board.MiscPowerW) / CBoard;
+      BoardLocal[K] = OilCold + Cumulative + 0.5 * Rise;
+      Cumulative += Rise;
       double SinkR = Sink.thermalResistanceKPerW(
-          *Oil, BoardLocal[B], ApproachVelocity, BoardLocal[B] + 20.0);
-      BoardR[B] = Spec.ThetaJcKPerW + TimR + SinkR;
+          *Oil, BoardLocal[K], ApproachVelocity, BoardLocal[K] + 20.0);
+      BoardR[K] = Spec.ThetaJcKPerW + TimR + SinkR;
       double Tj =
-          PowerModel.solveJunctionTempC(Load, BoardR[B], BoardLocal[B]);
+          PowerModel.solveJunctionTempC(Load, BoardR[K], BoardLocal[K]);
+      ++JunctionSolves;
       double P = PowerModel.totalPowerW(Load, Tj);
-      MaxChange = std::max(MaxChange, std::fabs(P - BoardChipPower[B]));
-      BoardTj[B] = Tj;
-      BoardChipPower[B] = P;
-      SumBoards += N * P + Module.Board.MiscPowerW;
+      MaxChange = std::max(MaxChange, std::fabs(P - BoardChipPower[K]));
+      BoardTj[K] = Tj;
+      BoardChipPower[K] = P;
     }
 
-    double ItPower = SumBoards;
+    double ItPower = 0.0;
+    for (int B = 0; B != Boards; ++B)
+      ItPower += N * BoardChipPower[classOf(B)] + Module.Board.MiscPowerW;
     PsuLoss = psuLossW(Module, ItPower, /*Immersible=*/true);
     // Pump heat: hydraulic work always dissipates in the oil; motor
     // losses join it only for the immersed-pump (SKAT+) design.
@@ -466,11 +444,26 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
     if (HeatConverged && MaxChange < 1e-7)
       break;
   }
+  countJunctionSolves(JunctionSolves);
 
   ModuleThermalReport Report;
-  double FpgaHeat = 0.0;
-  for (int B = 0; B != Boards; ++B)
-    FpgaHeat += N * BoardChipPower[B];
+  double FpgaHeat = 0.0, SumTj = 0.0, MaxTj = -1e9;
+  for (int B = 0; B != Boards; ++B) {
+    const int K = classOf(B);
+    FpgaHeat += N * BoardChipPower[K];
+    Report.PerBoardCoolantTempC.push_back(BoardLocal[K]);
+    SumTj += BoardTj[K];
+    MaxTj = std::max(MaxTj, BoardTj[K]);
+    for (int I = 0; I != N; ++I) {
+      FpgaThermalState State;
+      State.JunctionTempC = BoardTj[K];
+      State.PowerW = BoardChipPower[K];
+      State.LocalCoolantTempC = BoardLocal[K];
+      State.TotalResistanceKPerW = BoardR[K];
+      State.BoardIndex = B;
+      Report.Fpgas.push_back(State);
+    }
+  }
   Report.FpgaHeatW = FpgaHeat;
   Report.MiscHeatW = Boards * Module.Board.MiscPowerW;
   Report.ItPowerW = Report.FpgaHeatW + Report.MiscHeatW;
@@ -490,23 +483,6 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
   Report.HxDutyW = Exchange.DutyW;
   Report.HxEffectiveness = Exchange.Effectiveness;
   Report.WaterOutletTempC = Exchange.ColdOutletTempC;
-
-  double SumTj = 0.0;
-  double MaxTj = -1e9;
-  for (int B = 0; B != Boards; ++B) {
-    Report.PerBoardCoolantTempC.push_back(BoardLocal[B]);
-    SumTj += BoardTj[B];
-    MaxTj = std::max(MaxTj, BoardTj[B]);
-    for (int I = 0; I != N; ++I) {
-      FpgaThermalState State;
-      State.JunctionTempC = BoardTj[B];
-      State.PowerW = BoardChipPower[B];
-      State.LocalCoolantTempC = BoardLocal[B];
-      State.TotalResistanceKPerW = BoardR[B];
-      State.BoardIndex = B;
-      Report.Fpgas.push_back(State);
-    }
-  }
   Report.MaxJunctionTempC = MaxTj;
   Report.MeanJunctionTempC = SumTj / Boards;
   if (Report.CoolantHotTempC > Oil->maxOperatingTempC())

@@ -99,8 +99,10 @@ struct ImmersionCoolingConfig {
   double TimExposureHours = 0.0;
 
   /// Oil distribution across boards: the SKAT circulation feeds all
-  /// boards in parallel; first-generation single-chip designs effectively
-  /// run boards in series and build up "considerable thermal gradients".
+  /// boards in parallel, so every board sees the same oil and the solver
+  /// carries one board state for all of them; first-generation single-chip
+  /// designs effectively run boards in series (one state per board) and
+  /// build up "considerable thermal gradients".
   enum class OilDistribution { ParallelAcrossBoards, SeriesAlongBoards };
   OilDistribution Distribution = OilDistribution::ParallelAcrossBoards;
 };
@@ -111,23 +113,6 @@ struct ExternalConditions {
   /// Primary chilled water at the module heat exchanger.
   double WaterInletTempC = 18.0;
   double WaterFlowM3PerS = 8.0e-4;
-};
-
-// Forward declaration for ModuleSolveOptions::WarmStart.
-struct ModuleThermalReport;
-
-/// Options for the module steady-state cooling solvers.
-struct ModuleSolveOptions {
-  /// Warm-start the coupled heat/temperature fixed point from a prior
-  /// report of the *same module shape* — the trim-loop and design-sweep
-  /// pattern, mirroring FlowSolveOptions::WarmStartPressuresPa. The
-  /// solver seeds its iteration state (total heat, per-board chip power
-  /// and coolant temperatures) from the report instead of the nameplate
-  /// guess, converging in 1-2 sweeps instead of tens. Ignored when null
-  /// or when the report's shape does not match the module; like the
-  /// hydraulic warm start, the result agrees with a cold solve to the
-  /// fixed point's convergence tolerance, not bit-for-bit.
-  const ModuleThermalReport *WarmStart = nullptr;
 };
 
 /// Thermal state of one compute FPGA.
@@ -188,22 +173,19 @@ struct ModuleConfig;
 Expected<ModuleThermalReport>
 solveAirCooledModule(const ModuleConfig &Module,
                      const ExternalConditions &Conditions,
-                     const fpga::WorkloadPoint &Load,
-                     const ModuleSolveOptions &Options = ModuleSolveOptions());
+                     const fpga::WorkloadPoint &Load);
 
 /// Solves a cold-plate (closed-loop) module.
 Expected<ModuleThermalReport>
 solveColdPlateModule(const ModuleConfig &Module,
                      const ExternalConditions &Conditions,
-                     const fpga::WorkloadPoint &Load,
-                     const ModuleSolveOptions &Options = ModuleSolveOptions());
+                     const fpga::WorkloadPoint &Load);
 
 /// Solves an immersion (open-loop) module.
 Expected<ModuleThermalReport>
 solveImmersionModule(const ModuleConfig &Module,
                      const ExternalConditions &Conditions,
-                     const fpga::WorkloadPoint &Load,
-                     const ModuleSolveOptions &Options = ModuleSolveOptions());
+                     const fpga::WorkloadPoint &Load);
 
 } // namespace rcsystem
 } // namespace rcs

@@ -6,6 +6,8 @@
 
 #include "system/Module.h"
 
+#include "telemetry/Span.h"
+
 #include <cassert>
 
 using namespace rcs;
@@ -39,15 +41,18 @@ Expected<ModuleThermalReport> ComputationalModule::solveSteadyState(
 }
 
 Expected<ModuleThermalReport> ComputationalModule::solveSteadyState(
-    const ExternalConditions &Conditions, const fpga::WorkloadPoint &Load,
-    const ModuleSolveOptions &Options) const {
+    const ExternalConditions &Conditions,
+    const fpga::WorkloadPoint &Load) const {
+  static telemetry::Timer &SolveTimer =
+      telemetry::Registry::global().timer("system.module.solve");
+  telemetry::Span SolveSpan(SolveTimer);
   switch (Config.Cooling) {
   case CoolingKind::ForcedAir:
-    return solveAirCooledModule(Config, Conditions, Load, Options);
+    return solveAirCooledModule(Config, Conditions, Load);
   case CoolingKind::ColdPlate:
-    return solveColdPlateModule(Config, Conditions, Load, Options);
+    return solveColdPlateModule(Config, Conditions, Load);
   case CoolingKind::Immersion:
-    return solveImmersionModule(Config, Conditions, Load, Options);
+    return solveImmersionModule(Config, Conditions, Load);
   }
   assert(false && "unknown cooling kind");
   return Expected<ModuleThermalReport>::error("unknown cooling kind");

@@ -66,14 +66,10 @@ public:
   Expected<ModuleThermalReport>
   solveSteadyState(const ExternalConditions &Conditions) const;
 
-  /// Steady state under an explicit workload. \p Options tunes solver
-  /// internals (e.g. the fluid property cache for repeated-solve
-  /// throughput) without changing the physical configuration.
+  /// Steady state under an explicit workload.
   Expected<ModuleThermalReport>
   solveSteadyState(const ExternalConditions &Conditions,
-                   const fpga::WorkloadPoint &Load,
-                   const ModuleSolveOptions &Options =
-                       ModuleSolveOptions()) const;
+                   const fpga::WorkloadPoint &Load) const;
 
 private:
   ModuleConfig Config;

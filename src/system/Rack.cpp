@@ -8,6 +8,7 @@
 
 #include "support/StringUtils.h"
 #include "support/Units.h"
+#include "telemetry/Span.h"
 
 #include <cassert>
 #include <cmath>
@@ -34,6 +35,9 @@ int Rack::maxModulesByHeight() const {
 Expected<RackReport>
 Rack::solveSteadyState(double AmbientTempC,
                        std::optional<int> IsolatedLoop) const {
+  static telemetry::Timer &SolveTimer =
+      telemetry::Registry::global().timer("system.rack.solve");
+  telemetry::Span SolveSpan(SolveTimer);
   RackReport Report;
   if (IsolatedLoop && (*IsolatedLoop < 0 || *IsolatedLoop >=
                                                 Config.NumModules))

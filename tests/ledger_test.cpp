@@ -17,8 +17,12 @@
 #include "core/Designs.h"
 #include "faults/Scenario.h"
 #include "faults/Sweep.h"
+#include "fluids/Fluid.h"
+#include "hydraulics/Balancing.h"
+#include "hydraulics/InternalLoop.h"
 #include "sim/RackTransient.h"
 #include "sim/Transient.h"
+#include "system/Rack.h"
 #include "telemetry/Telemetry.h"
 #include "thermal/Fleet.h"
 
@@ -60,6 +64,15 @@ constexpr std::array<const char *, 5> SweepCounters = {
     "faults.scenario.runs", "sim.transient.steps",
     "thermal.network.factorizations", "thermal.network.transient_steps",
     "audit.energy.steps"};
+
+/// The counters the design slice pins: hydraulic Newton work, the edge
+/// inversions inside its residuals and the edge-drop evaluations they
+/// make, and the module fixed point's junction-temperature solves.
+constexpr std::array<const char *, 5> DesignCounters = {
+    "hydraulics.flow.solves", "hydraulics.newton.iterations",
+    "hydraulics.edge_inversion.searches",
+    "hydraulics.edge_inversion.evaluations",
+    "system.module.junction_solves"};
 
 /// A module campaign whose replicates differ: a pump-failure hazard with a
 /// mean time to failure near the horizon.
@@ -169,4 +182,54 @@ TEST(SweepLedgerTest, AirCooledSweepFailsWithReplicateZerosError) {
                 "(use skat, skat-plus or skat-plus-naive)");
     });
   }
+}
+
+TEST(DesignLedgerTest, ModuleSolveSolvesOneBoardClassPerSweep) {
+  // The SKAT module feeds its 12 boards in parallel, so each of its 32
+  // fixed-point sweeps solves one junction temperature, not twelve (384).
+  // Its oil loop is a scalar root search, not a network solve.
+  rcsystem::ComputationalModule Module(core::makeSkatModule());
+  expectWork(DesignCounters, {0, 0, 0, 0, 32}, [&] {
+    ASSERT_TRUE(Module.solveSteadyState(core::makeNominalConditions()));
+  });
+}
+
+TEST(DesignLedgerTest, RackSolveCountsItsNetworkAndModuleWork) {
+  // One primary-loop Newton solve, then one 32-sweep module solve per
+  // powered module; an isolated loop powers its module down. Every edge
+  // inversion hands Brent the two bracket values it already evaluated, so
+  // the 288 searches make 576 fewer evaluations than re-evaluating them
+  // would (3497 and 3560).
+  rcsystem::Rack Rack(core::makeSkatRack());
+  expectWork(DesignCounters, {1, 6, 288, 2921, 12 * 32},
+             [&] { ASSERT_TRUE(Rack.solveSteadyState(25.0)); });
+  expectWork(DesignCounters, {1, 6, 288, 2984, 11 * 32},
+             [&] { ASSERT_TRUE(Rack.solveSteadyState(25.0, 3)); });
+}
+
+TEST(DesignLedgerTest, DirectReturnTrimCountsItsSolves) {
+  // A direct-return manifold needs three trim passes, each a warm-started
+  // Newton solve; 252 searches, two evaluations each fewer than with the
+  // bracket ends evaluated twice (2949).
+  hydraulics::RackHydraulicsConfig Config;
+  Config.Layout = hydraulics::ManifoldLayout::DirectReturn;
+  hydraulics::RackHydraulics Rack = hydraulics::buildRackPrimaryLoop(Config);
+  auto Water = fluids::makeWater();
+  expectWork(DesignCounters, {3, 8, 252, 2445, 0}, [&] {
+    Expected<hydraulics::TrimResult> Trim =
+        hydraulics::trimBalancingValves(Rack, *Water, 18.0);
+    ASSERT_TRUE(Trim) << Trim.message();
+    EXPECT_TRUE(Trim->Converged);
+  });
+}
+
+TEST(DesignLedgerTest, InternalLoopSolveCountsItsInversions) {
+  // A cold solve of the tapered internal oil loop (3864 evaluations with
+  // the bracket ends evaluated twice).
+  hydraulics::InternalLoop Loop =
+      hydraulics::buildInternalLoop(hydraulics::InternalLoopConfig());
+  auto Oil = fluids::makeEngineeredDielectric();
+  expectWork(DesignCounters, {1, 6, 288, 3288, 0}, [&] {
+    ASSERT_TRUE(hydraulics::solveInternalLoop(Loop, *Oil, 30.0));
+  });
 }

@@ -14,10 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Designs.h"
 #include "fluids/Fluid.h"
 #include "hydraulics/InternalLoop.h"
-#include "system/Module.h"
 #include "hydraulics/Manifold.h"
 #include "support/Interp.h"
 #include "support/Numerics.h"
@@ -549,65 +547,6 @@ TEST(HydraulicEquivalenceTest, WrongSizedWarmStartIsIgnored) {
   ASSERT_TRUE(Reference);
   for (size_t E = 0; E != Reference->EdgeFlowsM3PerS.size(); ++E)
     EXPECT_EQ(Solution->EdgeFlowsM3PerS[E], Reference->EdgeFlowsM3PerS[E]);
-}
-
-//===----------------------------------------------------------------------===//
-// Coupled module solve: warm start vs cold fixed point
-//===----------------------------------------------------------------------===//
-
-TEST(ModuleEquivalenceTest, WarmStartMatchesColdSolveOnEveryCoolingKind) {
-  auto Conditions = core::makeNominalConditions();
-  std::vector<rcsystem::ModuleConfig> Configs = {core::makeSkatModule(),
-                                                 core::makeTaygetaModule()};
-  Configs.push_back(core::makeSkatModule());
-  Configs.back().Cooling = rcsystem::CoolingKind::ColdPlate;
-  for (const rcsystem::ModuleConfig &Config : Configs) {
-    rcsystem::ComputationalModule Module(Config);
-    auto Cold = Module.solveSteadyState(Conditions);
-    ASSERT_TRUE(Cold) << Config.Name;
-
-    rcsystem::ModuleSolveOptions Options;
-    Options.WarmStart = &*Cold;
-    auto Warm = Module.solveSteadyState(Conditions, Config.Load, Options);
-    ASSERT_TRUE(Warm) << Config.Name;
-    // Both runs converge the same damped fixed point to its internal
-    // tolerance; the warm one just starts at the answer.
-    EXPECT_NEAR(Warm->MaxJunctionTempC, Cold->MaxJunctionTempC, 1e-5)
-        << Config.Name;
-    EXPECT_NEAR(Warm->TotalHeatW, Cold->TotalHeatW,
-                1e-6 * Cold->TotalHeatW)
-        << Config.Name;
-    EXPECT_NEAR(Warm->CoolantHotTempC, Cold->CoolantHotTempC, 1e-5)
-        << Config.Name;
-    ASSERT_EQ(Warm->Fpgas.size(), Cold->Fpgas.size()) << Config.Name;
-    for (size_t I = 0; I != Cold->Fpgas.size(); ++I)
-      EXPECT_NEAR(Warm->Fpgas[I].JunctionTempC, Cold->Fpgas[I].JunctionTempC,
-                  1e-5)
-          << Config.Name << " fpga " << I;
-  }
-}
-
-TEST(ModuleEquivalenceTest, MismatchedWarmStartIsIgnoredBitExactly) {
-  auto Conditions = core::makeNominalConditions();
-  rcsystem::ComputationalModule Module(core::makeSkatModule());
-  auto Cold = Module.solveSteadyState(Conditions);
-  ASSERT_TRUE(Cold);
-
-  // A report from a differently-shaped module must not seed anything.
-  rcsystem::ModuleConfig SmallConfig = core::makeSkatModule();
-  SmallConfig.NumCcbs = 2;
-  rcsystem::ComputationalModule Small(SmallConfig);
-  auto SmallReport = Small.solveSteadyState(Conditions);
-  ASSERT_TRUE(SmallReport);
-
-  rcsystem::ModuleSolveOptions Stale;
-  Stale.WarmStart = &*SmallReport;
-  auto Guarded =
-      Module.solveSteadyState(Conditions, Module.config().Load, Stale);
-  ASSERT_TRUE(Guarded);
-  EXPECT_EQ(Guarded->MaxJunctionTempC, Cold->MaxJunctionTempC);
-  EXPECT_EQ(Guarded->TotalHeatW, Cold->TotalHeatW);
-  EXPECT_EQ(Guarded->CoolantColdTempC, Cold->CoolantColdTempC);
 }
 
 //===----------------------------------------------------------------------===//

@@ -317,6 +317,28 @@ TEST(NumericsTest, BrentEndpointRoot) {
   EXPECT_DOUBLE_EQ(*Root, 0.0);
 }
 
+TEST(NumericsTest, BrentFromKnownEndValuesWalksTheSameIterates) {
+  // Handing Brent the end values it would evaluate itself saves exactly
+  // those two calls and lands on the same bits.
+  std::vector<double> Plain, Given;
+  auto Cubic = [](std::vector<double> &Seen) {
+    return [&Seen](double X) {
+      Seen.push_back(X);
+      return X * X * X - 2.0 * X - 5.0;
+    };
+  };
+  auto Root = findRootBrent(Cubic(Plain), 0.0, 4.0);
+  std::vector<double> Ends;
+  auto End = Cubic(Ends);
+  double LowValue = End(0.0), HighValue = End(4.0);
+  auto Reused = findRootBrent(Cubic(Given), 0.0, 4.0, LowValue, HighValue);
+  ASSERT_TRUE(Root.hasValue());
+  ASSERT_TRUE(Reused.hasValue());
+  EXPECT_EQ(*Reused, *Root);
+  ASSERT_EQ(Given.size() + 2, Plain.size());
+  EXPECT_EQ(std::vector<double>(Plain.begin() + 2, Plain.end()), Given);
+}
+
 TEST(NumericsTest, NewtonScalarQuadratic) {
   auto Root = findRootNewton([](double X) { return X * X - 2.0; }, 1.0, 0.0,
                              2.0);

@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 using namespace rcs;
 using namespace rcs::rcsystem;
@@ -239,6 +242,10 @@ TEST(ImmersionSolverTest, SeriesDistributionBuildsGradient) {
   EXPECT_GT(spread(*SeriesReport), 4.0 * spread(*ParallelReport));
   EXPECT_GT(SeriesReport->MaxJunctionTempC,
             ParallelReport->MaxJunctionTempC);
+  // Each board downstream runs on warmer oil than the one before it.
+  const std::vector<double> &Oil = SeriesReport->PerBoardCoolantTempC;
+  for (size_t B = 1; B < Oil.size(); ++B)
+    EXPECT_GT(Oil[B], Oil[B - 1]) << "board " << B;
 }
 
 TEST(ImmersionSolverTest, TimWashoutRaisesJunctions) {
@@ -287,6 +294,125 @@ TEST(ImmersionSolverTest, ColderWaterCoolsEverything) {
   ASSERT_TRUE(Cold.hasValue());
   ASSERT_TRUE(Warmer.hasValue());
   EXPECT_GT(Warmer->MaxJunctionTempC, Cold->MaxJunctionTempC + 3.0);
+}
+
+namespace {
+
+/// Every scalar of \p R plus the first and last FPGA states, at %.17g.
+std::string fingerprint(const ModuleThermalReport &R) {
+  std::string Out;
+  auto Add = [&](double V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.17g ", V);
+    Out += Buf;
+  };
+  for (double V : {R.FpgaHeatW, R.MiscHeatW, R.PsuLossW, R.PumpPowerW,
+                   R.FanPowerW, R.TotalHeatW, R.ItPowerW, R.MaxJunctionTempC,
+                   R.MeanJunctionTempC, R.CoolantColdTempC, R.CoolantHotTempC,
+                   R.WaterOutletTempC, R.CoolantFlowM3PerS,
+                   R.ApproachVelocityMPerS, R.HxDutyW, R.HxEffectiveness})
+    Add(V);
+  for (const FpgaThermalState *S : {&R.Fpgas.front(), &R.Fpgas.back()})
+    for (double V : {S->JunctionTempC, S->PowerW, S->LocalCoolantTempC,
+                     S->TotalResistanceKPerW})
+      Add(V);
+  return Out;
+}
+
+} // namespace
+
+TEST(ImmersionSolverTest, ReportsKeepTheirRecordedBits) {
+  // Recorded from the per-board fixed point that solved all twelve
+  // boards of a module on every sweep; carrying one state per board
+  // class must not move a bit.
+  ExternalConditions Warm = nominal();
+  Warm.WaterInletTempC = 24.0;
+  ModuleConfig Series = core::makeSkatModule();
+  Series.Immersion.Distribution =
+      ImmersionCoolingConfig::OilDistribution::SeriesAlongBoards;
+  struct Case {
+    const char *Name;
+    ModuleConfig Config;
+    ExternalConditions Conditions;
+    double Utilization;
+    const char *Want;
+  };
+  const Case Cases[] = {
+      {"skat nominal", core::makeSkatModule(), nominal(), -1.0,
+       "8765.3887075568146 540 398.01379875342866 231.20419607463811 "
+       "0 9830.5648137772805 9305.3887075568146 44.511715541065527 "
+       "44.511715541065534 27.541092225920565 29.523672813589833 "
+       "25.855030991619685 0.002721545086192813 0.064798692528400301 "
+       "9830.5648134664953 0.68164300728464522 44.511715541065527 "
+       "91.306132370383509 28.47942503597552 0.1755883212761771 "
+       "44.511715541065527 91.306132370383509 28.47942503597552 "
+       "0.1755883212761771 "},
+      {"skat-plus nominal", core::makeSkatPlusModule(), nominal(), -1.0,
+       "11808.563798731915 600 653.08230519641722 762.08175741514378 "
+       "0 13823.727860950439 12408.563798731915 47.524214304213388 "
+       "47.524214304213388 28.967772555032312 30.410406445386748 "
+       "29.04573468820405 0.0052486876052141038 0.1249687525050977 "
+       "13823.727860601985 0.89003810929254612 47.524214304213388 "
+       "123.00587290345749 29.615246769176856 0.14559441035090476 "
+       "47.524214304213388 123.00587290345749 29.615246769176856 "
+       "0.14559441035090476 "},
+      {"skat 24 C 0.9", core::makeSkatModule(), Warm, 0.9,
+       "8966.1909244097405 540 413.52625660645384 231.20419607463811 "
+       "0 10046.879488541053 9506.1909244097405 51.176307629016698 "
+       "51.176307629016712 33.77335657639361 35.781730270962086 "
+       "32.044117837555369 0.002721545086192813 0.064798692528400301 "
+       "10046.879488277829 0.68276200970084611 51.176307629016698 "
+       "93.397822129268135 34.723501534828856 0.17615834844050288 "
+       "51.176307629016698 93.397822129268135 34.723501534828856 "
+       "0.17615834844050288 "},
+      {"skat-plus 24 C 0.9", core::makeSkatPlusModule(), Warm, 0.9,
+       "12147.973287133673 600 670.94596248072014 762.08175741514378 "
+       "0 14181.001006700262 12747.973287133673 54.41053118973273 "
+       "54.410531189732744 35.2802280390463 36.747022623594532 "
+       "35.354136703155639 0.0052486876052141038 0.1249687525050977 "
+       "14181.001006407956 0.89072852841253436 54.41053118973273 "
+       "126.54138840764242 35.93951359204268 0.14596819135754552 "
+       "54.41053118973273 126.54138840764242 35.93951359204268 "
+       "0.14596819135754552 "},
+      {"skat series nominal", Series, nominal(), -1.0,
+       "8765.499061778095 540 398.02224095578572 231.20419607463811 0 "
+       "9830.6836102008201 9305.499061778095 45.42405107180727 "
+       "44.511199757449823 27.541207739206627 29.523811956772967 "
+       "25.855125914913071 0.002721545086192813 0.064798692528400301 "
+       "9830.683609889953 0.6816430139938483 43.600803640826136 "
+       "91.04910175822414 27.619194780382887 0.17552736437668826 "
+       "45.42405107180727 91.570154386413563 29.339487929610037 "
+       "0.17565289968139897 "},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    fpga::WorkloadPoint Load = C.Config.Load;
+    if (C.Utilization >= 0.0)
+      Load.Utilization = C.Utilization;
+    auto Report =
+        ComputationalModule(C.Config).solveSteadyState(C.Conditions, Load);
+    ASSERT_TRUE(Report.hasValue()) << Report.message();
+    EXPECT_EQ(fingerprint(*Report), C.Want);
+  }
+}
+
+TEST(ImmersionSolverTest, ParallelBoardsCarryOneState) {
+  // Boards fed in parallel see identical oil: every board and every FPGA
+  // reports the same state, to the bit.
+  auto Report = ComputationalModule(core::makeSkatModule())
+                    .solveSteadyState(nominal());
+  ASSERT_TRUE(Report.hasValue());
+  ASSERT_EQ(Report->PerBoardCoolantTempC.size(), 12u);
+  for (double T : Report->PerBoardCoolantTempC)
+    EXPECT_EQ(T, Report->PerBoardCoolantTempC.front());
+  const FpgaThermalState &First = Report->Fpgas.front();
+  for (const FpgaThermalState &S : Report->Fpgas) {
+    EXPECT_EQ(S.JunctionTempC, First.JunctionTempC);
+    EXPECT_EQ(S.PowerW, First.PowerW);
+    EXPECT_EQ(S.LocalCoolantTempC, First.LocalCoolantTempC);
+    EXPECT_EQ(S.TotalResistanceKPerW, First.TotalResistanceKPerW);
+  }
+  EXPECT_EQ(Report->MaxJunctionTempC, First.JunctionTempC);
 }
 
 TEST(ColdPlateSolverTest, SolvesAndOrdersTemperatures) {
