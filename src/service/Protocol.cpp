@@ -221,6 +221,14 @@ rcs::service::parseServiceRequest(std::string_view Line) {
   return Request;
 }
 
+std::string rcs::service::parseRequestId(std::string_view Line) {
+  Expected<JsonValue> Doc = telemetry::parseJson(Line);
+  if (!Doc || !Doc->isObject())
+    return std::string();
+  const JsonValue *Id = Doc->find("id");
+  return Id && Id->isString() ? Id->StringValue : std::string();
+}
+
 std::string rcs::service::renderExactNumber(double Value) {
   if (!std::isfinite(Value))
     return "null";
@@ -240,7 +248,6 @@ rcs::service::renderServiceResponse(const ServiceResponse &Response) {
       telemetry::jsonQuote(Response.Id).c_str(),
       Response.Ok ? "true" : "false");
   if (Response.Ok) {
-    Line += ", \"cache\": " + telemetry::jsonQuote(Response.CacheState);
     Line += ", \"latency_s\": " + telemetry::jsonNumber(Response.LatencyS);
     Line += ", \"result\": " + Response.ResultJson;
   } else {
@@ -256,13 +263,10 @@ std::string
 rcs::service::renderServiceSummary(const ServiceSummary &Summary) {
   return formatString(
       "{\"kind\": \"service_summary\", \"requests\": %llu, \"ok\": %llu, "
-      "\"errors\": %llu, \"rejected\": %llu, \"timed_out\": %llu, "
-      "\"cache_hits\": %llu, \"cache_misses\": %llu}",
+      "\"errors\": %llu, \"rejected\": %llu, \"timed_out\": %llu}",
       static_cast<unsigned long long>(Summary.Requests),
       static_cast<unsigned long long>(Summary.OkCount),
       static_cast<unsigned long long>(Summary.ErrorCount),
       static_cast<unsigned long long>(Summary.Rejected),
-      static_cast<unsigned long long>(Summary.TimedOut),
-      static_cast<unsigned long long>(Summary.CacheHits),
-      static_cast<unsigned long long>(Summary.CacheMisses));
+      static_cast<unsigned long long>(Summary.TimedOut));
 }

@@ -70,6 +70,11 @@ struct ServiceRequest {
 /// Strict-parses one request line. Errors name the offending key.
 Expected<ServiceRequest> parseServiceRequest(std::string_view Line);
 
+/// The `id` of a request line that failed strict parsing: the line's
+/// string `id` member when the line is a JSON object that has one, else
+/// empty. Lets a parse-error response name the request it answers.
+std::string parseRequestId(std::string_view Line);
+
 /// Where a structured error response originated.
 enum class ErrorKind {
   None,
@@ -88,9 +93,6 @@ struct ServiceResponse {
   bool Ok = false;
   ErrorKind Error = ErrorKind::None;
   std::string ErrorMessage;
-  /// "warm" (cache hit), "cold" (cache miss, entry built), or "bypass"
-  /// (uncacheable kind or caching disabled).
-  std::string CacheState = "bypass";
   double LatencyS = 0.0;
   std::string ResultJson;
 };
@@ -102,6 +104,8 @@ struct ServiceSummary {
   uint64_t ErrorCount = 0;
   uint64_t Rejected = 0;
   uint64_t TimedOut = 0;
+  /// Always zero and never rendered: the service keeps no solver cache.
+  /// Kept only because the benchmark (perfbench/src/Serve.cpp) reads them.
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
 };

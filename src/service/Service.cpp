@@ -9,7 +9,6 @@
 #include "core/Designs.h"
 #include "faults/Engine.h"
 #include "faults/Scenario.h"
-#include "sim/SolverAssets.h"
 #include "sim/Transient.h"
 #include "support/Parallel.h"
 #include "support/StringUtils.h"
@@ -109,10 +108,7 @@ std::string renderFaultsResult(const faults::ScenarioOutcome &Outcome) {
 
 } // namespace
 
-ScenarioService::ScenarioService(ServeConfig ConfigIn)
-    : Config(ConfigIn), Cache(ConfigIn.CacheMaxEntries) {}
-
-ScenarioService::~ScenarioService() = default;
+ScenarioService::ScenarioService(ServeConfig ConfigIn) : Config(ConfigIn) {}
 
 std::optional<std::string> ScenarioService::submit(std::string_view Line) {
   telemetry::Registry &Reg = telemetry::Registry::global();
@@ -124,10 +120,10 @@ std::optional<std::string> ScenarioService::submit(std::string_view Line) {
 
   Expected<ServiceRequest> Request = parseServiceRequest(Line);
   if (!Request) {
-    // The id (if any) did not survive strict parsing; the empty id plus
-    // in-order rendering still lets the client attribute the error.
-    ServiceResponse Response =
-        errorResponse("", ErrorKind::Parse, Request.message());
+    // Answer under the line's own id when it has a string one; otherwise
+    // the empty id plus in-order rendering still attributes the error.
+    ServiceResponse Response = errorResponse(
+        parseRequestId(Line), ErrorKind::Parse, Request.message());
     LockGuard Lock(Mu);
     ++Totals.Requests;
     ++Totals.ErrorCount;
@@ -169,9 +165,6 @@ size_t ScenarioService::drain(std::vector<std::string> &Out) {
       Reg.counter("service.responses.error");
   static telemetry::Counter &Timeouts = Reg.counter("service.timeouts");
   static telemetry::Gauge &Depth = Reg.gauge("service.queue.depth");
-  static telemetry::Gauge &HitRate = Reg.gauge("service.cache.hit_rate");
-  static telemetry::Gauge &CacheEntries =
-      Reg.gauge("service.cache.entries");
   static telemetry::Histogram &BatchSize =
       Reg.histogram("service.batch.size");
   static telemetry::Histogram &QueueWait =
@@ -222,10 +215,9 @@ size_t ScenarioService::drain(std::vector<std::string> &Out) {
         else
           Responses[I] = evaluate(Item.Request);
         Responses[I].LatencyS = Reg.nowSeconds() - Item.EnqueueS;
-        RequestSpan.attr("cache", Responses[I].CacheState);
       });
 
-  uint64_t Ok = 0, Errors = 0, TimedOut = 0, Hits = 0, Misses = 0;
+  uint64_t Ok = 0, Errors = 0, TimedOut = 0;
   for (const ServiceResponse &Response : Responses) {
     Out.push_back(renderServiceResponse(Response));
     Latency.record(Response.LatencyS);
@@ -235,10 +227,6 @@ size_t ScenarioService::drain(std::vector<std::string> &Out) {
       ++Errors;
     if (Response.Error == ErrorKind::Timeout)
       ++TimedOut;
-    if (Response.CacheState == "warm")
-      ++Hits;
-    else if (Response.CacheState == "cold")
-      ++Misses;
   }
   OkCount.add(static_cast<int64_t>(Ok));
   ErrCount.add(static_cast<int64_t>(Errors));
@@ -248,14 +236,7 @@ size_t ScenarioService::drain(std::vector<std::string> &Out) {
     Totals.OkCount += Ok;
     Totals.ErrorCount += Errors;
     Totals.TimedOut += TimedOut;
-    Totals.CacheHits += Hits;
-    Totals.CacheMisses += Misses;
   }
-  SolverCacheStats Stats = Cache.stats();
-  CacheEntries.set(static_cast<double>(Stats.Entries));
-  if (Stats.Hits + Stats.Misses > 0)
-    HitRate.set(static_cast<double>(Stats.Hits) /
-                static_cast<double>(Stats.Hits + Stats.Misses));
   return Batch.size();
 }
 
@@ -303,9 +284,6 @@ ScenarioService::evaluateSteady(const ServiceRequest &Request) {
   Load.Utilization = Request.Util.value_or(Load.Utilization);
   Load.ClockFraction = Request.Clock.value_or(Load.ClockFraction);
 
-  // Steady solves build their fluids and network inside the solve
-  // (system/Cooling.cpp), so there is no warm state to lease: they bypass
-  // the cache.
   rcsystem::ComputationalModule TheModule(*ModuleCfg);
   Expected<rcsystem::ModuleThermalReport> Report =
       TheModule.solveSteadyState(Conditions, Load);
@@ -344,37 +322,12 @@ ScenarioService::evaluateTransient(const ServiceRequest &Request) {
   if (Request.PumpFailH)
     Simulator.schedulePumpSpeed(*Request.PumpFailH * 3600.0, 0.0);
 
-  ServiceResponse Response;
-  Response.Id = Request.Id;
-
-  // The warm path: borrow the plant's solver assets (fluid property
-  // caches, the built network) from the shared registry. Results are
-  // bit-identical warm or cold (sim/SolverAssets.h); service_test
-  // asserts it.
-  SolverCacheRegistry::Lease Lease;
-  if (Config.UseSolverCache) {
-    SolverCacheKey Key;
-    Key.ConfigHash = hashPlantConfig(*ModuleCfg, SimCfg);
-    Key.DtS = SimCfg.TimeStepS;
-    Expected<SolverCacheRegistry::Lease> Acquired =
-        Cache.acquire(Key, [&]() -> Expected<PlantCacheEntry> {
-          PlantCacheEntry Entry;
-          Entry.Assets = std::make_unique<sim::TransientSolverAssets>(
-              *ModuleCfg, SimCfg);
-          return Entry;
-        });
-    if (!Acquired)
-      return errorResponse(Request.Id, ErrorKind::Evaluation,
-                           Acquired.message());
-    Lease = std::move(*Acquired);
-    Simulator.setSolverAssets(Lease.entry().Assets.get());
-    Response.CacheState = Lease.warm() ? "warm" : "cold";
-  }
-
   Expected<std::vector<sim::TraceSample>> Trace =
       Simulator.run(Hours * 3600.0);
   if (!Trace)
     return errorResponse(Request.Id, ErrorKind::Evaluation, Trace.message());
+  ServiceResponse Response;
+  Response.Id = Request.Id;
   Response.Ok = true;
   Response.ResultJson = renderTransientResult(*Trace);
   return Response;
@@ -391,8 +344,6 @@ ScenarioService::evaluateFaults(const ServiceRequest &Request) {
     Scenario->Seed = *Request.Seed;
   if (Request.Hours)
     Scenario->DurationS = *Request.Hours * 3600.0;
-  // Fault scenarios rebuild their closed-loop world per run and are
-  // dominated by the run itself, not setup: they bypass the cache.
   Expected<faults::ScenarioOutcome> Outcome =
       faults::runScenario(*Scenario, Request.Replicate.value_or(0));
   if (!Outcome)

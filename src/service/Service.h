@@ -6,11 +6,9 @@
 ///
 /// \file
 /// The scenario service behind `skatsim serve`: a bounded request queue
-/// with backpressure, batched dispatch onto the support/Parallel.h pool,
-/// and a shared keyed SolverCacheRegistry so concurrent transient requests
-/// against the same plant configuration reuse a built thermal network and
-/// resampled fluid-property tables instead of paying cold-start per query
-/// (docs/SERVICE.md).
+/// with backpressure and batched dispatch onto the support/Parallel.h
+/// pool (docs/SERVICE.md). Every request builds its own plant, exactly as
+/// the one-shot CLI path it mirrors does.
 ///
 /// Threading model: submit() and drain() are safe to call concurrently
 /// from any threads; evaluation inside drain() fans out with
@@ -28,10 +26,10 @@
 #define RCS_SERVICE_SERVICE_H
 
 #include "service/Protocol.h"
-#include "service/SolverCache.h"
 #include "support/Status.h"
 #include "support/ThreadSafety.h"
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
@@ -51,10 +49,6 @@ struct ServeConfig {
   size_t MaxQueueDepth = 64;
   /// Deadline for requests that do not carry their own timeout_s, s.
   double DefaultTimeoutS = 30.0;
-  /// Resident-entry bound of the shared solver cache.
-  size_t CacheMaxEntries = 16;
-  /// Master switch; off = every request reports cache "bypass".
-  bool UseSolverCache = true;
   /// Integration step for transient requests without a dt_s, s.
   double TransientDtS = 2.0;
   /// Service-wide chilled-water setpoint override, C (request wins).
@@ -63,12 +57,21 @@ struct ServeConfig {
   std::optional<double> AmbientSetpointC;
 };
 
+/// Solver-cache counters. The service keeps no solver cache, so they are
+/// always zero; they remain only because the benchmark (perfbench/src/
+/// Serve.cpp) reads them.
+struct SolverCacheStats {
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  uint64_t Contended = 0;
+  uint64_t Evictions = 0;
+};
+
 /// The batching scenario evaluator. One instance per daemon; the serve
 /// loop feeds submit() and flushes with drain().
 class ScenarioService {
 public:
   explicit ScenarioService(ServeConfig Config = ServeConfig());
-  ~ScenarioService();
   ScenarioService(const ScenarioService &) = delete;
   ScenarioService &operator=(const ScenarioService &) = delete;
 
@@ -89,15 +92,10 @@ public:
   /// Stream totals so far (for the closing summary line).
   ServiceSummary summary() const;
 
-  SolverCacheStats cacheStats() const { return Cache.stats(); }
-
-  /// Drops every cached plant entry (e.g. on config reload).
-  void invalidateCache() { Cache.invalidateAll(); }
+  /// Always zero; read only by the benchmark (see SolverCacheStats).
+  SolverCacheStats cacheStats() const { return SolverCacheStats(); }
 
   const ServeConfig &config() const { return Config; }
-
-  /// The shared registry (exposed for cache-semantics tests).
-  SolverCacheRegistry &cache() { return Cache; }
 
 private:
   struct Pending {
@@ -114,7 +112,6 @@ private:
   ServiceResponse evaluateFaults(const ServiceRequest &Request);
 
   const ServeConfig Config;
-  SolverCacheRegistry Cache;
   mutable rcs::Mutex Mu;
   std::deque<Pending> Queue RCS_GUARDED_BY(Mu);
   ServiceSummary Totals RCS_GUARDED_BY(Mu);

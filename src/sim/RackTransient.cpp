@@ -18,8 +18,8 @@
 
 #include "fluids/Fluid.h"
 #include "hydraulics/HeatExchanger.h"
+#include "system/Cooling.h"
 #include "thermal/HeatSink.h"
-#include "thermal/Interface.h"
 #include "thermal/Network.h"
 
 #include "telemetry/Span.h"
@@ -98,11 +98,11 @@ RackTransientSimulator::run(double DurationS) {
   Ccb Board(Module.Board);
   const fpga::FpgaSpec &Spec = Board.fpgaSpec();
   fpga::FpgaPowerModel PowerModel(Spec);
-  auto Oil = fluids::makeEngineeredDielectric();
+  auto Oil = makeCoolant(Module.Immersion.CoolantKind);
   auto Water = fluids::makeWater();
   thermal::PinFinHeatSink Sink("sink", Module.Immersion.SinkGeometry);
-  double TimR = thermal::ThermalInterface::makeSkatInterface(
-                    Spec.PackageSizeM * Spec.PackageSizeM)
+  double TimR = makeTim(Module.Immersion.Tim,
+                        Spec.PackageSizeM * Spec.PackageSizeM)
                     .resistanceKPerW(Module.Immersion.TimExposureHours);
 
   const int NumModules = Rack.NumModules;

@@ -17,10 +17,9 @@
 #include "sim/Transient.h"
 
 #include "fluids/Fluid.h"
-#include "sim/SolverAssets.h"
 #include "hydraulics/HeatExchanger.h"
+#include "system/Cooling.h"
 #include "thermal/HeatSink.h"
-#include "thermal/Interface.h"
 #include "thermal/Network.h"
 
 #include "telemetry/Span.h"
@@ -116,33 +115,16 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
                      return A.TimeS < B.TimeS;
                    });
 
-  // Static pieces of the model. The solver-heavy state (fluids with
-  // their property caches, the persistent two-node network) lives in
-  // TransientSolverAssets so a service can keep it warm across runs; a
-  // standalone run builds a private copy, which is the construction this
-  // loop used to perform inline.
+  // Static pieces of the model.
   Ccb Board(Module.Board);
   const fpga::FpgaSpec &Spec = Board.fpgaSpec();
   fpga::FpgaPowerModel PowerModel(Spec);
-  std::unique_ptr<TransientSolverAssets> OwnAssets;
-  TransientSolverAssets *Assets = SharedAssets;
-  if (!Assets) {
-    OwnAssets = std::make_unique<TransientSolverAssets>(Module, Config);
-    Assets = OwnAssets.get();
-  }
-  fluids::Fluid &Oil = Assets->oil();
-  fluids::Fluid &Water = Assets->water();
+  auto Oil = makeCoolant(Module.Immersion.CoolantKind);
+  auto Water = fluids::makeWater();
   thermal::PinFinHeatSink Sink("sink", Module.Immersion.SinkGeometry);
-  thermal::ThermalInterface Tim =
-      Module.Immersion.Tim == ImmersionCoolingConfig::TimKind::SiliconeGrease
-          ? thermal::ThermalInterface::makeSiliconeGrease(
-                Spec.PackageSizeM * Spec.PackageSizeM)
-      : Module.Immersion.Tim == ImmersionCoolingConfig::TimKind::GraphitePad
-          ? thermal::ThermalInterface::makeGraphitePad(Spec.PackageSizeM *
-                                                       Spec.PackageSizeM)
-          : thermal::ThermalInterface::makeSkatInterface(
-                Spec.PackageSizeM * Spec.PackageSizeM);
-  double TimR = Tim.resistanceKPerW(Module.Immersion.TimExposureHours);
+  double TimR = makeTim(Module.Immersion.Tim,
+                        Spec.PackageSizeM * Spec.PackageSizeM)
+                    .resistanceKPerW(Module.Immersion.TimExposureHours);
 
   const int NumFpgas = Module.NumCcbs * Board.computeFpgaCount();
   // Nominal flow from the steady solver's operating point equation: use
@@ -158,20 +140,33 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
   double WaterInlet = Conditions.WaterInletTempC;
   double WaterFlow = Conditions.WaterFlowM3PerS;
 
-  double FullOilCapacitance = Assets->fullOilCapacitanceJPerK();
+  double ChipCapacitance = NumFpgas * Config.ChipCapacitancePerFpgaJPerK;
+  // Exact-table anchor: taken before the property cache below resamples
+  // the oil tables.
+  double FullOilCapacitance =
+      Config.OilVolumeM3 * Oil->volumetricHeatCapacityJPerM3K(35.0);
 
   double OilTemp = WaterInlet + 4.0;
   double ChipTemp = OilTemp + 5.0;
 
-  // Persistent two-node network: built once (in the assets), mutated in
-  // place each step so the solver's symbolic phase (unknown indexing)
-  // survives the whole run — and, when the assets are shared, across
-  // runs. The temperature-dependent conductances change every step, so
+  // Persistent two-node network: built once, mutated in place each step
+  // so the solver's symbolic phase (unknown indexing) survives the whole
+  // run. The temperature-dependent conductances change every step, so
   // every step refactors; the network is never rebuilt or re-indexed.
-  thermal::ThermalNetwork &Net = Assets->network();
-  thermal::NodeId Chips = Assets->chipsNode();
-  thermal::NodeId Bath = Assets->bathNode();
-  thermal::NodeId WaterNode = Assets->waterBoundaryNode();
+  thermal::ThermalNetwork Net;
+  thermal::NodeId Chips = Net.addNode("chips", ChipCapacitance);
+  thermal::NodeId Bath = Net.addNode("oil", FullOilCapacitance);
+  thermal::NodeId WaterNode = Net.addBoundaryNode("water", WaterInlet);
+  Net.addConductance(Chips, Bath, 1.0);
+  Net.addConductance(Bath, WaterNode, 1.0);
+  Net.addHeatSource(Chips, 0.0);
+  Net.addHeatSource(Bath, 0.0);
+
+  // Property lookups dominate the per-step conductance evaluation; the
+  // uniform-grid cache makes them O(1) (agreement with the exact tables
+  // is covered by the solver-equivalence tests).
+  Oil->enablePropertyCache();
+  Water->enablePropertyCache();
 
   if (Auditor) {
     Auditor->noteSparseSolver(Net.solvesSparse());
@@ -255,15 +250,15 @@ Expected<std::vector<TraceSample>> TransientSimulator::run(double DurationS) {
                      (ShutDown ? 0.1 : 1.0) +
                  Effects.ExtraHeatW;
 
-      double SinkR = Sink.thermalResistanceKPerW(Oil, OilTemp, Velocity,
+      double SinkR = Sink.thermalResistanceKPerW(*Oil, OilTemp, Velocity,
                                                  ChipTemp);
       double PerFpgaR = Spec.ThetaJcKPerW + TimR + SinkR;
       GChipOil = NumFpgas / PerFpgaR;
 
-      double COil = Flow * Oil.densityKgPerM3(OilTemp) *
-                    Oil.specificHeatJPerKgK(OilTemp);
+      double COil = Flow * Oil->densityKgPerM3(OilTemp) *
+                    Oil->specificHeatJPerKgK(OilTemp);
       double CWater = hydraulics::PlateHeatExchanger::capacityRateWPerK(
-          Water, WaterFlow, WaterInlet);
+          *Water, WaterFlow, WaterInlet);
       if (COil > 0.0 && CWater > 0.0) {
         double CMin = std::min(COil, CWater);
         double CMax = std::max(COil, CWater);

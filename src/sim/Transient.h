@@ -32,8 +32,6 @@
 namespace rcs {
 namespace sim {
 
-class TransientSolverAssets;
-
 /// Tunables of the transient engine.
 struct TransientConfig {
   double TimeStepS = 2.0;
@@ -173,17 +171,6 @@ public:
   audit::PhysicsAuditor *auditor() { return Auditor.get(); }
   const audit::PhysicsAuditor *auditor() const { return Auditor.get(); }
 
-  /// Borrows warmed solver assets (fluids with resampled property
-  /// caches, the built two-node network) built
-  /// for this module configuration and TransientConfig, instead of
-  /// constructing them inside run(). Results are bit-identical either
-  /// way (see sim/SolverAssets.h); the caller keeps ownership, must keep
-  /// \p Assets alive across run(), and must not share them with a
-  /// concurrently running simulator. Pass nullptr to detach.
-  void setSolverAssets(TransientSolverAssets *Assets) {
-    SharedAssets = Assets;
-  }
-
   /// Channel names (and order) of flight-recorder frames.
   static const std::vector<std::string> &flightChannels();
 
@@ -200,7 +187,6 @@ private:
   TransientConfig Config;
   std::vector<Event> Events;
   monitor::Supervisor Super;
-  TransientSolverAssets *SharedAssets = nullptr;
   monitor::FlightRecorder *FlightRec = nullptr;
   std::unique_ptr<audit::PhysicsAuditor> Auditor;
   std::function<void(const TraceSample &)> SampleCallback;

@@ -39,8 +39,8 @@ const char *rcs::rcsystem::coolingKindName(CoolingKind Kind) {
 // Shared helpers
 //===----------------------------------------------------------------------===//
 
-static std::unique_ptr<fluids::Fluid>
-makeCoolant(ImmersionCoolingConfig::Coolant Kind) {
+std::unique_ptr<fluids::Fluid>
+rcs::rcsystem::makeCoolant(ImmersionCoolingConfig::Coolant Kind) {
   switch (Kind) {
   case ImmersionCoolingConfig::Coolant::WhiteMineralOil:
     return fluids::makeWhiteMineralOil();
@@ -53,8 +53,8 @@ makeCoolant(ImmersionCoolingConfig::Coolant Kind) {
   return nullptr;
 }
 
-static thermal::ThermalInterface
-makeTim(ImmersionCoolingConfig::TimKind Kind, double AreaM2) {
+thermal::ThermalInterface
+rcs::rcsystem::makeTim(ImmersionCoolingConfig::TimKind Kind, double AreaM2) {
   switch (Kind) {
   case ImmersionCoolingConfig::TimKind::SiliconeGrease:
     return thermal::ThermalInterface::makeSiliconeGrease(AreaM2);
@@ -67,13 +67,10 @@ makeTim(ImmersionCoolingConfig::TimKind Kind, double AreaM2) {
   return thermal::ThermalInterface::makeSkatInterface(AreaM2);
 }
 
-/// Aggregates PSU losses for the module's IT load split across its PSUs.
-static double psuLossW(const ModuleConfig &Module, double ItPowerW,
-                       bool Immersible) {
-  PowerSupplyUnit Psu =
-      Immersible ? PowerSupplyUnit("immersion DC/DC 380/12",
-                                   Module.PsuRatedPowerW, true)
-                 : PowerSupplyUnit::makeAirCooledPsu(Module.PsuRatedPowerW);
+/// Aggregates the losses of the module's PSUs, each of them \p Psu, for
+/// the IT load split across them.
+static double psuLossW(const ModuleConfig &Module, const PowerSupplyUnit &Psu,
+                       double ItPowerW) {
   int Count = std::max(Module.NumPsus, 1);
   return Count * Psu.lossW(ItPowerW / Count);
 }
@@ -174,7 +171,9 @@ rcs::rcsystem::solveAirCooledModule(const ModuleConfig &Module,
       Module.NumCcbs * (FrontRow * PFront + BackRow * PBack);
   Report.MiscHeatW = Module.NumCcbs * Board.nonFpgaPowerW(Load, TjBack);
   Report.ItPowerW = Report.FpgaHeatW + Report.MiscHeatW;
-  Report.PsuLossW = psuLossW(Module, Report.ItPowerW, /*Immersible=*/false);
+  Report.PsuLossW =
+      psuLossW(Module, PowerSupplyUnit::makeAirCooledPsu(Module.PsuRatedPowerW),
+               Report.ItPowerW);
   Report.FanPowerW = Cfg.FanSpecificPowerWPerM3PerS * Cfg.AirflowM3PerS;
   Report.TotalHeatW = Report.ItPowerW + Report.PsuLossW + Report.FanPowerW;
 
@@ -267,7 +266,9 @@ rcs::rcsystem::solveColdPlateModule(const ModuleConfig &Module,
   Report.MiscHeatW =
       Module.NumCcbs * Board.nonFpgaPowerW(Load, ChipTj.back());
   Report.ItPowerW = Report.FpgaHeatW + Report.MiscHeatW;
-  Report.PsuLossW = psuLossW(Module, Report.ItPowerW, /*Immersible=*/false);
+  Report.PsuLossW =
+      psuLossW(Module, PowerSupplyUnit::makeAirCooledPsu(Module.PsuRatedPowerW),
+               Report.ItPowerW);
   Report.PumpPowerW = Cfg.PumpPowerW;
   Report.TotalHeatW = Report.ItPowerW + Report.PsuLossW + Report.PumpPowerW;
 
@@ -385,6 +386,8 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
   std::vector<double> BoardChipPower(Classes, Spec.DynamicPowerMaxW);
   std::vector<double> BoardLocal(Classes), BoardTj(Classes), BoardR(Classes);
 
+  const PowerSupplyUnit Psu("immersion DC/DC 380/12", Module.PsuRatedPowerW,
+                            /*Immersible=*/true);
   double PsuLoss = 0.0;
   uint64_t JunctionSolves = 0;
   for (int Iter = 0; Iter != 120; ++Iter) {
@@ -433,7 +436,7 @@ rcs::rcsystem::solveImmersionModule(const ModuleConfig &Module,
     double ItPower = 0.0;
     for (int B = 0; B != Boards; ++B)
       ItPower += N * BoardChipPower[classOf(B)] + Module.Board.MiscPowerW;
-    PsuLoss = psuLossW(Module, ItPower, /*Immersible=*/true);
+    PsuLoss = psuLossW(Module, Psu, ItPower);
     // Pump heat: hydraulic work always dissipates in the oil; motor
     // losses join it only for the immersed-pump (SKAT+) design.
     double PumpHeat =

@@ -24,7 +24,9 @@
 #include "support/Status.h"
 #include "system/Board.h"
 #include "thermal/HeatSink.h"
+#include "thermal/Interface.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,15 @@ struct ImmersionCoolingConfig {
   enum class OilDistribution { ParallelAcrossBoards, SeriesAlongBoards };
   OilDistribution Distribution = OilDistribution::ParallelAcrossBoards;
 };
+
+/// The bath fluid an immersion module is filled with.
+std::unique_ptr<fluids::Fluid>
+makeCoolant(ImmersionCoolingConfig::Coolant Kind);
+
+/// The chip-to-sink interface an immersion module uses, over the package
+/// footprint \p AreaM2.
+thermal::ThermalInterface makeTim(ImmersionCoolingConfig::TimKind Kind,
+                                  double AreaM2);
 
 /// Boundary conditions a module sees from the room and the rack loop.
 struct ExternalConditions {

@@ -1,10 +1,11 @@
-# Replays REQUESTS through `skatsim serve --threads 1` from SOURCE_DIR and
-# fails unless the response stream equals the EXPECTED file once each
-# response's wall-clock "latency_s" is masked to 0. The masked stream is
-# written to ACTUAL, so a failure can be diffed against EXPECTED.
-# Usage: cmake -DSKATSIM=<exe> -DSOURCE_DIR=<dir> -DREQUESTS=<jsonl>
-#              -DEXPECTED=<jsonl> -DACTUAL=<path> -P replay_matches.cmake
-execute_process(COMMAND ${SKATSIM} serve --threads 1 --in ${REQUESTS}
+# Replays REQUESTS through `skatsim serve --threads THREADS` from
+# SOURCE_DIR and fails unless the response stream equals the EXPECTED file
+# once each response's wall-clock "latency_s" is masked to 0. The masked
+# stream is written to ACTUAL, so a failure can be diffed against EXPECTED.
+# Usage: cmake -DSKATSIM=<exe> -DSOURCE_DIR=<dir> -DTHREADS=<n>
+#              -DREQUESTS=<jsonl> -DEXPECTED=<jsonl> -DACTUAL=<path>
+#              -P replay_matches.cmake
+execute_process(COMMAND ${SKATSIM} serve --threads ${THREADS} --in ${REQUESTS}
                 WORKING_DIRECTORY ${SOURCE_DIR}
                 OUTPUT_VARIABLE Out
                 ERROR_VARIABLE Err

@@ -394,6 +394,39 @@ TEST(RackTransientTest, ChillerRepairRecovers) {
   EXPECT_EQ(Last.ModulesShutDown, 0);
 }
 
+TEST(RackTransientTest, HonoursTheModuleCoolantAndTim) {
+  // The rack steps the module transient's physics, so a coolant or TIM
+  // change must move a rack's junctions as it moves a module's.
+  const rcsystem::RackConfig Skat = core::makeSkatRack();
+  auto EndJunctionsC = [&](const rcsystem::ModuleConfig &Module) {
+    rcsystem::RackConfig Rack = Skat;
+    Rack.Module = Module;
+    RackTransientSimulator RackSim(Rack, 25.0);
+    auto RackTrace = RackSim.run(1800.0);
+    TransientSimulator ModuleSim(Module, core::makeNominalConditions());
+    auto ModuleTrace = ModuleSim.run(1800.0);
+    EXPECT_TRUE(RackTrace.hasValue() && ModuleTrace.hasValue());
+    return std::make_pair(RackTrace->back().MaxJunctionTempC,
+                          ModuleTrace->back().MaxJunctionTempC);
+  };
+  const auto Base = EndJunctionsC(Skat.Module);
+  rcsystem::ModuleConfig Oil = Skat.Module;
+  Oil.Immersion.CoolantKind =
+      rcsystem::ImmersionCoolingConfig::Coolant::WhiteMineralOil;
+  rcsystem::ModuleConfig Grease = Skat.Module;
+  Grease.Immersion.Tim =
+      rcsystem::ImmersionCoolingConfig::TimKind::SiliconeGrease;
+  for (const rcsystem::ModuleConfig &Variant : {Oil, Grease}) {
+    const auto Moved = EndJunctionsC(Variant);
+    const double RackShift = Moved.first - Base.first;
+    const double ModuleShift = Moved.second - Base.second;
+    ASSERT_NE(ModuleShift, 0.0);
+    EXPECT_GT(RackShift * ModuleShift, 0.0)
+        << "rack moved " << RackShift << " C, module " << ModuleShift
+        << " C";
+  }
+}
+
 TEST(RackTransientTest, TenMinuteOutageIsRideThrough) {
   // The A3 story at rack scale: a 10-minute chiller outage never reaches
   // the long-life band thanks to oil + water inventories.

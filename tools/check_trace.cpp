@@ -648,7 +648,7 @@ Status validateServiceRequests(const std::vector<std::string> &Lines,
 
 /// Service response stream (service/Protocol.h): a `service_header` line
 /// with the `skatsim-service-v1` schema, then `service_response` lines —
-/// successes carry a cache state, latency and result object; failures a
+/// successes carry a latency and result object; failures a
 /// known error kind and message — closed by a `service_summary` line
 /// whose counts reconcile with the counted responses. \p NumResponses
 /// counts response lines.
@@ -694,12 +694,7 @@ Status validateServiceResponses(const std::vector<std::string> &Lines,
     if (!Ok && Line.find("\"ok\": false") == std::string::npos)
       return Status::error(Where + " lacks a boolean ok verdict");
     if (Ok) {
-      std::string Cache;
       double LatencyS = 0.0;
-      if (!findString(Line, "cache", Cache) ||
-          (Cache != "warm" && Cache != "cold" && Cache != "bypass"))
-        return Status::error(Where + " lacks a warm/cold/bypass cache "
-                                     "state");
       if (!findNumber(Line, "latency_s", LatencyS) || LatencyS < 0.0)
         return Status::error(Where + " lacks a non-negative latency_s");
       if (Line.find("\"result\": {") == std::string::npos)
@@ -738,9 +733,6 @@ Status validateServiceResponses(const std::vector<std::string> &Lines,
       !findNumber(SummaryLine, "timed_out", TimedOut))
     return Status::error("summary lacks requests/ok/errors/rejected/"
                          "timed_out counts");
-  if (SummaryLine.find("\"cache_hits\": ") == std::string::npos ||
-      SummaryLine.find("\"cache_misses\": ") == std::string::npos)
-    return Status::error("summary lacks cache_hits/cache_misses");
   if (static_cast<size_t>(OkCount) != OkLines)
     return Status::error("summary declares " +
                          std::to_string(static_cast<size_t>(OkCount)) +
@@ -764,9 +756,7 @@ Status validateServiceResponses(const std::vector<std::string> &Lines,
 
 /// Bench report document (telemetry/Bench.h, written by the bench
 /// binaries): bench name, boolean verdict, non-negative wall time and a
-/// non-empty metrics object. The service-throughput report additionally
-/// carries throughput, cache-ablation and latency-quantile metrics with
-/// ordered quantiles. \p NumMetrics counts metric entries.
+/// non-empty metrics object. \p NumMetrics counts metric entries.
 Status validateBenchReport(const std::string &Text, size_t &NumMetrics) {
   NumMetrics = 0;
   Expected<telemetry::JsonValue> Doc = telemetry::parseJson(Text);
@@ -788,36 +778,6 @@ Status validateBenchReport(const std::string &Text, size_t &NumMetrics) {
   for (const auto &[Key, Value] : Metrics->Members)
     if (Key.empty())
       return Status::error("holds a metric with an empty key");
-
-  if (Name->StringValue != "service_throughput")
-    return Status::ok();
-  // The service-throughput contract (docs/SERVICE.md): cold and warm
-  // scenario rates, the gated cache-ablation ratio, the hit rate and
-  // ordered latency quantiles.
-  auto Number = [&](const char *Key) -> const telemetry::JsonValue * {
-    const telemetry::JsonValue *Value = Metrics->find(Key);
-    return Value && Value->isNumber() ? Value : nullptr;
-  };
-  for (const char *Key :
-       {"scenarios_per_s_cold", "scenarios_per_s_warm",
-        "speedup_service_cache"}) {
-    const telemetry::JsonValue *Value = Number(Key);
-    if (!Value || Value->NumberValue <= 0.0)
-      return Status::error(std::string("lacks a positive ") + Key);
-  }
-  const telemetry::JsonValue *HitRate = Number("cache_hit_rate");
-  if (!HitRate || HitRate->NumberValue < 0.0 ||
-      HitRate->NumberValue > 1.0)
-    return Status::error("lacks a cache_hit_rate in [0, 1]");
-  const telemetry::JsonValue *P50 = Number("latency_p50_ms");
-  const telemetry::JsonValue *P95 = Number("latency_p95_ms");
-  const telemetry::JsonValue *P99 = Number("latency_p99_ms");
-  if (!P50 || !P95 || !P99 || P50->NumberValue < 0.0)
-    return Status::error("lacks latency_p50/p95/p99_ms quantiles");
-  const double TolMs = 1e-9 * (1.0 + std::fabs(P99->NumberValue));
-  if (P50->NumberValue > P95->NumberValue + TolMs ||
-      P95->NumberValue > P99->NumberValue + TolMs)
-    return Status::error("latency quantiles are not ordered");
   return Status::ok();
 }
 

@@ -1027,9 +1027,6 @@ int cmdServe(const ArgList &Args) {
   Config.MaxQueueDepth =
       static_cast<size_t>(std::max(1, Args.getInt("queue", 64)));
   Config.DefaultTimeoutS = Args.getDouble("timeout-s", 30.0);
-  Config.CacheMaxEntries =
-      static_cast<size_t>(std::max(1, Args.getInt("cache", 16)));
-  Config.UseSolverCache = !Args.has("no-cache");
   Config.TransientDtS = Args.getDouble("dt-s", 2.0);
   if (Args.has("water"))
     Config.WaterSetpointC = Args.getDouble("water", 18.0);
@@ -1069,17 +1066,14 @@ int cmdServe(const ArgList &Args) {
   }
 
   service::ServiceSummary Totals = Service.summary();
-  service::SolverCacheStats CacheStats = Service.cacheStats();
   std::fprintf(stderr,
                "serve: %llu requests (%llu ok, %llu errors, %llu rejected, "
-               "%llu timed out), cache %llu hits / %llu misses\n",
+               "%llu timed out)\n",
                static_cast<unsigned long long>(Totals.Requests),
                static_cast<unsigned long long>(Totals.OkCount),
                static_cast<unsigned long long>(Totals.ErrorCount),
                static_cast<unsigned long long>(Totals.Rejected),
-               static_cast<unsigned long long>(Totals.TimedOut),
-               static_cast<unsigned long long>(CacheStats.Hits),
-               static_cast<unsigned long long>(CacheStats.Misses));
+               static_cast<unsigned long long>(Totals.TimedOut));
   std::string PromPath = Args.getString("prom", "");
   if (!PromPath.empty()) {
     Status Written = monitor::writePrometheusFile(
@@ -1127,8 +1121,7 @@ void printUsage() {
       " --socket PATH]\n"
       "                [--max-conns N] [--threads N] [--batch N]"
       " [--queue N]\n"
-      "                [--timeout-s S] [--cache N | --no-cache]"
-      " [--dt-s S]\n"
+      "                [--timeout-s S] [--dt-s S]\n"
       "                [--water C] [--ambient C] [--prom FILE]\n"
       "  skatsim profile <command> [args...] [--profile-out FILE]\n"
       "  skatsim audit <command> [args...] [--audit-out FILE]"
